@@ -13,8 +13,6 @@ from snsq.matrix_engine import (
     build_operators,
     effective_operators,
     step_general,
-    step_scheduled,
-    step_ungrouped,
     transfer_matrix,
 )
 from snsq.model import (
@@ -107,8 +105,6 @@ __all__ = [
     "serialize",
     "step",
     "step_general",
-    "step_scheduled",
-    "step_ungrouped",
     "transfer_matrix",
     "validate_cao",
     "__version__",

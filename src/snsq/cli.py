@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from snsq import dsl, matrix_engine, runner
-from snsq.model import Cao
+from snsq.model import Cao, build_configuration_matrix
 from snsq.rationals import format_rational
 
 
@@ -110,12 +110,18 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             for i, row in enumerate(matrix)
         ]
 
+    def diagonal_rows(values: tuple[Fraction, ...]) -> list[tuple[str, ...]]:
+        return [
+            (names[i], *(format_rational(v) if j == i else "0" for j in range(len(names))))
+            for i, v in enumerate(values)
+        ]
+
     header = ("", *names)
-    config = matrix_engine.build_configuration_matrix(cao)
+    config = build_configuration_matrix(cao)
     sections = [
         _fmt_table("configuration", header, matrix_rows(config.cells)),
-        _fmt_table("radix diagonal", header, matrix_rows(ops.radix)),
-        _fmt_table("inverse radix diagonal", header, matrix_rows(ops.inverse_radix)),
+        _fmt_table("radix diagonal", header, diagonal_rows(ops.radix)),
+        _fmt_table("inverse radix diagonal", header, diagonal_rows(ops.inverse_radix)),
         _fmt_table("transfer", header, matrix_rows(matrix_engine.transfer_matrix(ops))),
     ]
     groups = ["carry groups"]

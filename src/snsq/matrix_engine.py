@@ -1,25 +1,25 @@
-"""Vector/matrix form of the step, used to cross-check the firing engine.
+"""State-equation form of the step, used to cross-check the firing engine.
 
 The state evolves by
 
-    next = state + transfer @ group_min(inverse_radix @ state)
+    next = state + (conversionᵀ − radix) · group_min(inverse_radix ∘ state)
 
-where ``inverse_radix`` is the diagonal of reciprocal radices (zero rows for
-sinks), ``group_min`` replaces every entity's partial carry by the minimum
-over its carry-partition group (applying the integer floor first for
-floor-kind operators, and pinning sinks to zero), and ``transfer`` is the
-conversion matrix transposed minus the radix diagonal. Both engines must
-agree exactly at every step; the runner's ``check`` mode exploits that.
+where ``inverse_radix`` holds each entity's reciprocal radix (zero for sinks
+and for operands of disabled operators), ``group_min`` replaces every
+entity's partial carry by the minimum over its carry-partition group
+(applying the integer floor first for floor-kind operators, and pinning
+sinks to zero), ``radix`` is the diagonal of radices and ``conversionᵀ``
+feeds each image its coefficient times a carry. Both engines must agree
+exactly at every step; the runner's ``check`` mode exploits that.
 
-One subtlety in building the conversion transpose: a fan-in operator's image
-receives its transformant once, not once per operand, yet every operand row
-of the configuration matrix carries the image coefficient. The transpose
-therefore keeps each (operator, image) coefficient in exactly one
-representative operand column and zeroes the rest; with the group minimum
-making all of a group's carries equal, any representative gives the same
-product. Representatives rotate through the group (image slot a, sorted by
-image entity index, uses operand ``group[a % len(group)]``) so no single
-operand column visually accumulates the whole image set.
+Storage is sparse, so a step costs O(entities + images) rather than
+O(entities²). The radix and inverse-radix diagonals are length-m vectors,
+and ``conversionᵀ`` is a list of ``(image, representative, coefficient)``
+entries, one per (operator, image) pair. A fan-in operator's image receives
+its transformant once, not once per operand, so each entry reads the carry
+of a single representative operand; the group minimum makes all of a
+group's carries equal, so any operand serves. Only ``transfer_matrix``
+builds a dense m×m grid, for ``snsq matrix`` to print.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from snsq.model import (
     Cao,
     CarryKind,
     CarryPartition,
-    ConfigurationMatrix,
     Mode,
     NegativeCardinalError,
+    Operator,
     apply_schedule,
-    build_configuration_matrix,
     carry_partition,
 )
 from snsq.rationals import floor_to_integer
@@ -51,16 +50,17 @@ _ONE = Fraction(1)
 class StateOperators:
     """The pieces of the state equation, precomputed from one network snapshot.
 
-    ``radix`` and ``inverse_radix`` are diagonal matrices (sink rows zero);
-    ``conversion`` is the representative-column transpose described in the
-    module docstring; ``floor_mask[e]`` is True when entity e's partial carry
-    is floored before the group minimum.
+    ``radix`` and ``inverse_radix`` are the diagonals as vectors (sink
+    entries zero); ``conversion`` holds the ``(image, representative,
+    coefficient)`` entries described in the module docstring;
+    ``floor_mask[e]`` is True when entity e's partial carry is floored
+    before the group minimum.
     """
 
     names: tuple[str, ...]
-    radix: Matrix
-    inverse_radix: Matrix
-    conversion: Matrix
+    radix: Vector
+    inverse_radix: Vector
+    conversion: tuple[tuple[int, int, Fraction], ...]
     partition: CarryPartition
     floor_mask: tuple[bool, ...]
 
@@ -69,80 +69,54 @@ class StateOperators:
         return len(self.names)
 
 
-def _diagonal(values: Vector) -> Matrix:
-    m = len(values)
-    return tuple(
-        tuple(values[i] if i == j else _ZERO for j in range(m)) for i in range(m)
-    )
-
-
 def build_operators(
-    cao: Cao, matrix: ConfigurationMatrix | None = None
+    cao: Cao, operators: tuple[Operator, ...] | None = None
 ) -> StateOperators:
-    """Assemble the state-equation operators from a network (or a prebuilt matrix)."""
-    if matrix is None:
-        matrix = build_configuration_matrix(cao)
-    m = matrix.size
-    partition = carry_partition(cao)
+    """Assemble the state-equation operators from a network's operators.
 
-    radii = tuple(matrix.radix(e) for e in range(m))
-    inverse = tuple(_ONE / r if r != 0 else _ZERO for r in radii)
-
-    conversion = [[_ZERO] * m for _ in range(m)]
-    for op in cao.operators:
+    ``operators`` replaces ``cao.operators`` (a schedule's effective
+    parameters); the carry partition always comes from the declared
+    topology. Disabled operators contribute no radix and no conversion.
+    Representatives rotate through the group: image slot a, sorted by
+    image entity index, reads operand ``group[a % len(group)]``. Any choice
+    steps alike; this one fixes the transfer columns ``snsq matrix`` prints.
+    """
+    m = cao.size
+    radix = [_ZERO] * m
+    floor_mask = [False] * m
+    conversion = []
+    for op in cao.operators if operators is None else operators:
+        group = op.operand_entities()
+        if op.kind is CarryKind.INTEGER_FLOOR:
+            for e in group:
+                floor_mask[e] = True
         if not op.enabled:
             continue
-        group = op.operand_entities()
+        for operand in op.operands:
+            radix[operand.entity] = operand.radix
         for a, image in enumerate(sorted(op.images, key=lambda im: im.entity)):
-            representative = group[a % len(group)]
-            conversion[image.entity][representative] = image.coefficient
-
-    floor_mask = [False] * m
-    for op in cao.operators:
-        if op.kind is CarryKind.INTEGER_FLOOR:
-            for e in op.operand_entities():
-                floor_mask[e] = True
+            conversion.append((image.entity, group[a % len(group)], image.coefficient))
 
     return StateOperators(
-        names=matrix.names,
-        radix=_diagonal(radii),
-        inverse_radix=_diagonal(inverse),
-        conversion=tuple(tuple(row) for row in conversion),
-        partition=partition,
+        names=cao.entity_names(),
+        radix=tuple(radix),
+        inverse_radix=tuple(_ONE / r if r != 0 else _ZERO for r in radix),
+        conversion=tuple(conversion),
+        partition=carry_partition(cao),
         floor_mask=tuple(floor_mask),
     )
 
 
 def effective_operators(cao: Cao, k: int) -> StateOperators:
-    """State-equation operators at step ``k``, with the schedule folded in.
-
-    The carry partition always comes from the declared topology; scheduled
-    retuning or disabling never moves entities between groups.
-    """
-    ops = apply_schedule(cao, k)
-    matrix = build_configuration_matrix(cao, ops)
-    base = build_operators(Cao(cao.name, cao.entities, ops, cao.mode), matrix)
-    return StateOperators(
-        names=base.names,
-        radix=base.radix,
-        inverse_radix=base.inverse_radix,
-        conversion=base.conversion,
-        partition=carry_partition(cao),
-        floor_mask=base.floor_mask,
-    )
-
-
-def matvec(matrix: Matrix, vector: Vector) -> Vector:
-    return tuple(
-        sum((row[j] * vector[j] for j in range(len(vector))), _ZERO) for row in matrix
-    )
+    """State-equation operators at step ``k``, with the schedule folded in."""
+    return build_operators(cao, apply_schedule(cao, k))
 
 
 def partial_carries(state: Vector, ops: StateOperators) -> Vector:
-    """Per-entity carry before grouping: diagonal divide, then floor where marked."""
-    raw = matvec(ops.inverse_radix, state)
+    """Per-entity carry before grouping: divide by the radix, then floor where marked."""
     return tuple(
-        floor_to_integer(q) if ops.floor_mask[e] else q for e, q in enumerate(raw)
+        floor_to_integer(s * inv) if floor else s * inv
+        for s, inv, floor in zip(state, ops.inverse_radix, ops.floor_mask)
     )
 
 
@@ -161,25 +135,27 @@ def common_carry(partition: CarryPartition, carries: Vector) -> Vector:
 
 
 def transfer_matrix(ops: StateOperators) -> Matrix:
-    """Conversion transpose minus the radix diagonal: the step's linear part."""
-    m = ops.size
-    return tuple(
-        tuple(ops.conversion[i][j] - ops.radix[i][j] for j in range(m))
-        for i in range(m)
-    )
+    """Conversion transpose minus the radix diagonal, densified for display."""
+    grid = [[_ZERO] * ops.size for _ in range(ops.size)]
+    for e, r in enumerate(ops.radix):
+        grid[e][e] = -r
+    for image, representative, coefficient in ops.conversion:
+        grid[image][representative] += coefficient
+    return tuple(tuple(row) for row in grid)
 
 
 def apply_carries(
     state: Vector, ops: StateOperators, commons: Vector, mode: Mode, step: int = 0
 ) -> Vector:
     """Advance the state by the common-carry vector; Q_MINUS post-checks each entry."""
-    delta = matvec(transfer_matrix(ops), commons)
-    new = tuple(s + d for s, d in zip(state, delta))
+    new = [s - r * c for s, r, c in zip(state, ops.radix, commons)]
+    for image, representative, coefficient in ops.conversion:
+        new[image] += coefficient * commons[representative]
     if mode is Mode.Q_MINUS:
         for e, value in enumerate(new):
             if value < 0:
                 raise NegativeCardinalError(ops.names[e], value, step)
-    return new
+    return tuple(new)
 
 
 def step_general(
@@ -188,32 +164,3 @@ def step_general(
     """One step with full grouping; returns the new state and the common-carry vector."""
     commons = common_carry(ops.partition, partial_carries(state, ops))
     return apply_carries(state, ops, commons, mode, step), commons
-
-
-def step_ungrouped(
-    state: Vector, ops: StateOperators, mode: Mode = Mode.Q_PLUS, step: int = 0
-) -> tuple[Vector, Vector]:
-    """Grouping-free specialization: only legal when every group is a singleton.
-
-    With no fan-in, the group minimum is the identity on non-sink entries, so
-    the carry vector is just the (floored) diagonal divide. Networks with a
-    multi-operand operator are rejected rather than silently mis-stepped.
-    """
-    for group in ops.partition.groups:
-        if len(group) > 1:
-            raise ValueError(
-                "network has a multi-operand operator; use step_general"
-            )
-    carries = list(partial_carries(state, ops))
-    for e in ops.partition.sinks:
-        carries[e] = _ZERO
-    commons = tuple(carries)
-    return apply_carries(state, ops, commons, mode, step), commons
-
-
-def step_scheduled(
-    state: Vector, cao: Cao, k: int
-) -> tuple[Vector, Vector]:
-    """One step of a scheduled network: rebuild the operators for step ``k`` first."""
-    ops = effective_operators(cao, k)
-    return step_general(state, ops, cao.mode, k)

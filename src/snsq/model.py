@@ -5,8 +5,8 @@ non-negative exact cardinal, wired together by carry/convert operators
 (:class:`Operator`). Firing an operator removes a carry-weighted amount from
 its operand entities and adds coefficient-scaled transformants to its image
 entities. This module owns the structural rules, the validator that enforces
-them, and the two derived views the matrix backend is built from: the
-configuration matrix and the carry partition.
+them, and two derived views: the configuration matrix, which ``snsq matrix``
+prints, and the carry partition, which groups the matrix backend's carries.
 
 Structural rules enforced by :func:`validate_cao`:
 

@@ -119,3 +119,64 @@ def random_cao(
     problems = validate_cao(cao)
     assert not problems, problems
     return cao
+
+
+def wide_cao(rng: random.Random, *, with_schedule: bool = False, name: str = "wide") -> Cao:
+    """One random valid network of 32 to 64 entities whose trajectory keeps moving.
+
+    All but a few sink entities fall into operand groups of one to three;
+    the groups form a ring, each feeding every member of the next, plus up
+    to two random extra images. Every drained entity is thus refilled on
+    every step, so the run does not settle within a few steps the way
+    ``random_cao``'s sink-heavy networks do. qminus networks give some extra
+    images a negative coefficient, so some runs end in a violation.
+    ``with_schedule`` adds overrides at random steps 1 to 19.
+    """
+    m = rng.randint(32, 64)
+    mode = rng.choice((Mode.Q_PLUS, Mode.Q_PLUS, Mode.Q_MINUS))
+
+    def rational(lo: int, hi: int, den: int = 4) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+    entities = tuple(Entity(e, f"e{e}", rational(1, 60)) for e in range(m))
+    pool = list(range(m))
+    rng.shuffle(pool)
+    del pool[: rng.randint(0, 3)]  # these stay sinks
+    groups: list[list[int]] = []
+    while pool:
+        groups.append([pool.pop() for _ in range(min(len(pool), rng.choice((1, 1, 2, 3))))])
+
+    operators: list[Operator] = []
+    for g, group in enumerate(groups):
+        fed = groups[(g + 1) % len(groups)]
+        images = [Image(e, rational(1, 6, 2)) for e in fed if e not in group]
+        others = [e for e in range(m) if e not in group and e not in fed]
+        for e in rng.sample(others, min(len(others), rng.randint(0, 2))):
+            c = rational(0, 6, 2)
+            images.append(Image(e, -c if mode is Mode.Q_MINUS and rng.random() < 0.1 else c))
+        operators.append(
+            Operator(
+                rng.choice((CarryKind.RATIONAL_EXACT, CarryKind.INTEGER_FLOOR)),
+                tuple(Operand(e, rational(1, 4, 3)) for e in group),
+                tuple(images),
+            )
+        )
+
+    schedule: dict[int, list[Override]] = {}
+    if with_schedule:
+        for _ in range(rng.randint(2, 6)):
+            oi = rng.randrange(len(operators))
+            op = operators[oi]
+            pick = rng.choice(("radix", "coeff", "enabled"))
+            if pick == "radix":
+                ov = Override(oi, "radix", rng.choice(op.operand_entities()), rational(1, 4, 3))
+            elif pick == "coeff":
+                ov = Override(oi, "coeff", rng.choice(op.image_entities()), rational(0, 6, 2))
+            else:
+                ov = Override(oi, "enabled", None, rng.random() < 0.5)
+            schedule.setdefault(rng.randint(1, 19), []).append(ov)
+
+    cao = Cao(name, entities, tuple(operators), mode, schedule)
+    problems = validate_cao(cao)
+    assert not problems, problems
+    return cao

@@ -140,7 +140,64 @@ class TestFixpoint:
         assert "'s' would reach -4" in out.err
 
 
+# Full stdout of `snsq matrix samples/allforms7.sns`, pinned byte for byte:
+# the matrix engine stores its operators sparsely and densifies them only for
+# this display, which must not drift with the storage.
+ALLFORMS_MATRIX = """\
+configuration
+      i  j  d   s  g  u  h
+  i  10  0  1   2  0  0  0
+  j   0  8  1   2  0  0  0
+  d   0  0  8   0  2  0  0
+  s   0  0  0  10  1  3  0
+  g   0  0  0   0  4  0  1
+  u   0  0  0   0  0  2  1
+  h   0  0  0   0  0  0  0
+
+radix diagonal
+      i  j  d   s  g  u  h
+  i  10  0  0   0  0  0  0
+  j   0  8  0   0  0  0  0
+  d   0  0  8   0  0  0  0
+  s   0  0  0  10  0  0  0
+  g   0  0  0   0  4  0  0
+  u   0  0  0   0  0  2  0
+  h   0  0  0   0  0  0  0
+
+inverse radix diagonal
+        i    j    d     s    g    u  h
+  i  1/10    0    0     0    0    0  0
+  j     0  1/8    0     0    0    0  0
+  d     0    0  1/8     0    0    0  0
+  s     0    0    0  1/10    0    0  0
+  g     0    0    0     0  1/4    0  0
+  u     0    0    0     0    0  1/2  0
+  h     0    0    0     0    0    0  0
+
+transfer
+       i   j   d    s   g   u  h
+  i  -10   0   0    0   0   0  0
+  j    0  -8   0    0   0   0  0
+  d    1   0  -8    0   0   0  0
+  s    0   2   0  -10   0   0  0
+  g    0   0   2    1  -4   0  0
+  u    0   0   0    3   0  -2  0
+  h    0   0   0    0   1   0  0
+
+carry groups
+  group 0: i, j
+  group 1: d
+  group 2: s
+  group 3: g, u
+  sinks: h
+"""
+
+
 class TestMatrix:
+    def test_golden_output(self, capsys):
+        assert main(["matrix", ALLFORMS]) == 0
+        assert capsys.readouterr().out == ALLFORMS_MATRIX
+
     def test_tables(self, capsys):
         assert main(["matrix", ALLFORMS]) == 0
         out = capsys.readouterr().out

@@ -1,19 +1,18 @@
+import ast
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
-from corpus import random_cao
+from corpus import random_cao, wide_cao
 from snsq.matrix_engine import (
     build_operators,
     common_carry,
     effective_operators,
-    matvec,
     partial_carries,
     step_general,
-    step_scheduled,
-    step_ungrouped,
     transfer_matrix,
 )
 from snsq.model import (
@@ -29,18 +28,19 @@ from snsq.model import (
     Override,
 )
 from snsq.op_engine import common_carry_vector, step
+from snsq.runner import EquivalenceReport, check_equivalence
 
-# Each image coefficient lands in exactly one operand column of its operator;
-# with the group minimum equalizing a group's carries, one column is enough,
-# and a full fan-out would double-count fused inflows.
+# (image, representative, coefficient): each image coefficient reads the
+# carry of exactly one operand of its operator; with the group minimum
+# equalizing a group's carries, one operand is enough, and reading every
+# operand would double-count fused inflows.
 REF7_CONVERSION = (
-    (0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 0),  # d <- i column carries the fused pair's first image
-    (0, 2, 0, 0, 0, 0, 0),  # s <- j column carries its second
-    (0, 0, 2, 1, 0, 0, 0),
-    (0, 0, 0, 3, 0, 0, 0),
-    (0, 0, 0, 0, 1, 0, 0),  # h <- g column, representative of the (g, u) group
+    (2, 0, 1),  # d <- i carries the fused pair's first image
+    (3, 1, 2),  # s <- j carries its second
+    (4, 2, 2),
+    (4, 3, 1),
+    (5, 3, 3),
+    (6, 4, 1),  # h <- g, representative of the (g, u) group
 )
 
 REF7_TRANSFER = (
@@ -61,18 +61,14 @@ def as_grid(rows):
 class TestBuildOperators:
     def test_ref7_diagonals(self):
         ops = build_operators(build_ref7())
-        radii = tuple(ops.radix[e][e] for e in range(7))
-        assert radii == (10, 8, 8, 10, 4, 2, 0)
-        inverses = tuple(ops.inverse_radix[e][e] for e in range(7))
-        assert inverses == (Fr(1, 10), Fr(1, 8), Fr(1, 8), Fr(1, 10), Fr(1, 4), Fr(1, 2), 0)
-        for e in range(7):
-            for f in range(7):
-                if e != f:
-                    assert ops.radix[e][f] == 0 == ops.inverse_radix[e][f]
+        assert ops.radix == (10, 8, 8, 10, 4, 2, 0)
+        assert ops.inverse_radix == (
+            Fr(1, 10), Fr(1, 8), Fr(1, 8), Fr(1, 10), Fr(1, 4), Fr(1, 2), 0
+        )
 
     def test_ref7_conversion_uses_one_column_per_image(self):
         ops = build_operators(build_ref7())
-        assert ops.conversion == as_grid(REF7_CONVERSION)
+        assert ops.conversion == REF7_CONVERSION
 
     def test_ref7_transfer(self):
         ops = build_operators(build_ref7())
@@ -129,17 +125,6 @@ class TestSteps:
         assert err.value.entity == "s"
         assert err.value.value == -4
 
-    def test_ungrouped_matches_general_without_fan_in(self):
-        cao = build_signed_inflow()
-        ops = build_operators(cao)
-        state = cao.initial_state()
-        assert step_ungrouped(state, ops, cao.mode) == step_general(state, ops, cao.mode)
-
-    def test_ungrouped_refuses_fan_in(self):
-        ops = build_operators(build_ref7())
-        with pytest.raises(ValueError):
-            step_ungrouped(REF7_STATES[0], ops)
-
     def test_scheduled_steps_fold_in_overrides(self):
         cao = Cao(
             "drip",
@@ -154,7 +139,7 @@ class TestSteps:
         state = cao.initial_state()
         for k in range(3):
             assert state == expected[k]
-            state, _ = step_scheduled(state, cao, k)
+            state, _ = step_general(state, effective_operators(cao, k), cao.mode, k)
         assert state == expected[3]
 
     def test_disabling_zeroes_cells_but_not_the_partition(self):
@@ -166,16 +151,11 @@ class TestSteps:
         )
         live = effective_operators(cao, 0)
         dead = effective_operators(cao, 1)
-        assert live.radix[0][0] == 3 and dead.radix[0][0] == 0
-        assert live.conversion[1][0] == 1 and dead.conversion[1][0] == 0
+        assert live.radix == (3, 0) and dead.radix == (0, 0)
+        assert live.conversion == ((1, 0, 1),) and dead.conversion == ()
         assert dead.partition.groups == live.partition.groups == ((0,),)
         state, commons = step_general((Fr(9), Fr(0)), dead, cao.mode, 1)
         assert state == (9, 0) and commons == (0, 0)
-
-
-def test_matvec():
-    matrix = as_grid(((1, 2), (0, 3)))
-    assert matvec(matrix, (Fr(5), Fr(7))) == (19, 21)
 
 
 class TestBackendAgreement:
@@ -203,3 +183,45 @@ class TestBackendAgreement:
                 assert commons_o == commons_m
                 assert nxt_o == nxt_m
                 state = nxt_o
+
+
+    def test_wide_networks_agree(self):
+        m = 128
+        ring = Cao(
+            "ring",
+            tuple(Entity(i, f"e{i}", Fr(2 + i % 30)) for i in range(m)),
+            tuple(
+                Operator(CarryKind.INTEGER_FLOOR, (Operand(i, 2),), (Image((i + 1) % m, 3),))
+                for i in range(m)
+            ),
+        )
+        assert check_equivalence(ring, 20) == EquivalenceReport(True, 20)
+
+        rng = random.Random(0x5CA1E)
+        wide = [
+            wide_cao(rng, with_schedule=case % 3 == 0, name=f"wide{case}")
+            for case in range(20)
+        ]
+        assert sum(1 for cao in wide if cao.schedule) >= 5
+        assert all(any(len(op.operands) > 1 for op in cao.operators) for cao in wide)
+        reports = [check_equivalence(cao, 20) for cao in wide]
+        assert all(report.equivalent for report in reports), reports
+        # Most trajectories keep moving for all 20 steps; the rest end in a
+        # qminus violation that both backends must report alike.
+        assert sum(report.steps == 20 for report in reports) >= 12
+
+
+def test_matrix_engine_does_not_import_op_engine():
+    source = Path(__file__).resolve().parent.parent / "src" / "snsq" / "matrix_engine.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert imported, "no imports found; is the path right?"
+    assert not any(
+        name == "snsq.op_engine" or name.startswith("snsq.op_engine.") for name in imported
+    ), sorted(imported)
