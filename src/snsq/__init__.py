@@ -41,7 +41,6 @@ from snsq.rationals import (
     as_rational,
     floor_to_integer,
     format_rational,
-    normalize,
     parse_rational,
 )
 from snsq.runner import (
@@ -51,7 +50,6 @@ from snsq.runner import (
     StepRecord,
     StopReason,
     check_equivalence,
-    detect_fixed_point,
     render_trace,
     run,
 )
@@ -91,12 +89,10 @@ __all__ = [
     "carry_partition",
     "check_equivalence",
     "common_carry_vector",
-    "detect_fixed_point",
     "effective_operators",
     "fire_operator",
     "floor_to_integer",
     "format_rational",
-    "normalize",
     "parse",
     "parse_rational",
     "partial_carry",

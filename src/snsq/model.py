@@ -7,6 +7,10 @@ its operand entities and adds coefficient-scaled transformants to its image
 entities. This module owns the structural rules, the validator that enforces
 them, and two derived views: the configuration matrix, which ``snsq matrix``
 prints, and the carry partition, which groups the matrix backend's carries.
+It also folds a network's schedule into piecewise-constant segments
+(:func:`schedule_segments`); a run folds each override once and reads the
+operators of the segment it is in, instead of re-folding steps 0..k on every
+step.
 
 Structural rules enforced by :func:`validate_cao`:
 
@@ -29,6 +33,7 @@ concern, not a structural property.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -549,22 +554,47 @@ def _overridden(op: Operator, ov: Override, mode: Mode) -> Operator:
     raise ScheduleError(f"entity {ov.entity} is not an image of the operator")
 
 
-def apply_schedule(cao: Cao, step: int) -> tuple[Operator, ...]:
-    """Effective operator parameters at the given step.
+def schedule_segments(cao: Cao) -> Iterator[tuple[int, tuple[Operator, ...]]]:
+    """The schedule as ``(first_step, operators)`` segments, in step order.
 
-    All overrides at steps 0..step are folded in, in step order then slot
-    order, and persist until overridden again. The base network is never
-    modified. Structurally inapplicable overrides raise ScheduleError; a
-    validated network never triggers that.
+    A segment's operators hold from its first step until the next segment
+    begins. Overrides at steps 0 and below fold into the step-0 segment;
+    every later schedule step opens a segment of its own, so a consumer
+    stepping k = 0, 1, 2, ... takes the next segment exactly when k is 0 or
+    a schedule step. Each override is folded once, in step order then slot
+    order, and only when the consumer asks for its segment: an override the
+    consumer never reaches never raises. An unscheduled network yields the
+    single segment ``(0, cao.operators)``. Structurally inapplicable
+    overrides raise ScheduleError; a validated network never triggers that.
     """
-    if not cao.schedule:
-        return cao.operators
-    ops = list(cao.operators)
-    for k in sorted(cao.schedule):
-        if k > step:
-            break
-        for ov in cao.schedule[k]:
-            if not 0 <= ov.operator < len(ops):
-                raise ScheduleError(f"unknown operator {ov.operator} in schedule step {k}")
-            ops[ov.operator] = _overridden(ops[ov.operator], ov, cao.mode)
-    return tuple(ops)
+    keys = sorted(cao.schedule)
+    ops = cao.operators
+    start = folded = 0
+    while True:
+        while folded < len(keys) and keys[folded] <= start:
+            for ov in cao.schedule[keys[folded]]:
+                i = ov.operator
+                if not 0 <= i < len(ops):
+                    raise ScheduleError(
+                        f"unknown operator {i} in schedule step {keys[folded]}"
+                    )
+                ops = ops[:i] + (_overridden(ops[i], ov, cao.mode),) + ops[i + 1 :]
+            folded += 1
+        yield start, ops
+        if folded == len(keys):
+            return
+        start = keys[folded]
+
+
+def apply_schedule(cao: Cao, step: int) -> tuple[Operator, ...]:
+    """Effective operator parameters at the given step: the operators of the
+    last :func:`schedule_segments` segment that begins at or before it.
+
+    Overrides persist until overridden again, and the base network is never
+    modified. Without a schedule this returns ``cao.operators`` itself.
+    """
+    segments = schedule_segments(cao)
+    _, ops = next(segments)
+    for _ in range(sum(0 < k <= step for k in cao.schedule)):
+        _, ops = next(segments)
+    return ops

@@ -73,15 +73,20 @@ def fire_operator(state: tuple[Fraction, ...], op: Operator, index: int) -> Firi
 
 
 def step(
-    state: tuple[Fraction, ...], cao: Cao, k: int = 0
+    state: tuple[Fraction, ...],
+    cao: Cao,
+    k: int = 0,
+    operators: tuple[Operator, ...] | None = None,
 ) -> tuple[tuple[Fraction, ...], tuple[Firing, ...]]:
     """One synchronous step at index ``k``; returns the new state and all firings.
 
-    Disabled operators (after folding the schedule up to ``k``) are skipped
-    entirely. In Q_MINUS mode the post-state is checked component-wise; the
-    first entity that would drop below zero raises NegativeCardinalError.
+    ``operators`` are the effective operators at ``k`` when the caller has
+    them (the runner reads them from the schedule's segments); otherwise the
+    schedule is folded up to ``k``. Disabled operators are skipped entirely.
+    In Q_MINUS mode the post-state is checked component-wise; the first
+    entity that would drop below zero raises NegativeCardinalError.
     """
-    ops = apply_schedule(cao, k)
+    ops = apply_schedule(cao, k) if operators is None else operators
     firings = tuple(
         fire_operator(state, op, i) for i, op in enumerate(ops) if op.enabled
     )

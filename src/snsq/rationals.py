@@ -20,14 +20,6 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def normalize(numerator: int, denominator: int = 1) -> Fraction:
-    """Canonical rational equal to numerator/denominator, sign on the numerator.
-
-    A zero denominator raises ZeroDivisionError.
-    """
-    return Fraction(numerator, denominator)
-
-
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or `num[/den]` string to an exact rational.
 

@@ -21,6 +21,11 @@ records in all.
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
 on a valid network they never should.
+
+Both fold the network's schedule once per run: they read it as segments
+(``model.schedule_segments``) in step order, take the next segment when k
+reaches its first step, and hand the segment's operators to the engines. The
+matrix backend builds its state-equation operators once per segment.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 
 from snsq import matrix_engine, op_engine
-from snsq.model import Cao, NegativeCardinalError
+from snsq.model import Cao, NegativeCardinalError, schedule_segments
 from snsq.op_engine import Firing
 from snsq.rationals import format_rational
 
@@ -75,11 +80,6 @@ class RunResult:
     records: tuple[StepRecord, ...]
 
 
-def detect_fixed_point(before: State, after: State) -> bool:
-    """Exact componentwise equality — the only fixed-point test that exists here."""
-    return before == after
-
-
 def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult:
     """Drive a network from its initial state for at most ``max_steps`` steps."""
     if backend not in BACKENDS:
@@ -87,22 +87,22 @@ def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
 
-    static_ops = None
-    if backend == "matrix" and not cao.schedule:
-        static_ops = matrix_engine.build_operators(cao)
-
+    segments = schedule_segments(cao)
     state = cao.initial_state()
     seen: dict[State, int] = {state: 0}
     records: list[StepRecord] = []
     k = 0
     while True:
+        if k == 0 or k in cao.schedule:
+            _, ops = next(segments)
+            if backend == "matrix":
+                matrix_ops = matrix_engine.build_operators(cao, ops)
         try:
             if backend == "operator":
-                nxt, firings = op_engine.step(state, cao, k)
+                nxt, firings = op_engine.step(state, cao, k, ops)
                 commons = op_engine.common_carry_vector(firings, cao.size)
             else:
-                ops = static_ops if static_ops is not None else matrix_engine.effective_operators(cao, k)
-                nxt, commons = matrix_engine.step_general(state, ops, cao.mode, k)
+                nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
                 firings = ()
         except NegativeCardinalError as err:
             records.append(StepRecord(k, state))
@@ -110,7 +110,7 @@ def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult
                 StopReason.QMINUS_VIOLATION, k, state, violation=(err.entity, err.value)
             )
             return RunResult(outcome, tuple(records))
-        if detect_fixed_point(state, nxt):
+        if nxt == state:
             records.append(StepRecord(k, state))
             return RunResult(RunOutcome(StopReason.FIXED_POINT, k, state), tuple(records))
         if k == max_steps:
@@ -151,20 +151,22 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
     """Step both backends in lockstep for up to ``steps`` steps (stopping early
     at a shared fixed point or a matching violation) and compare exactly."""
     names = cao.entity_names()
-    static_ops = matrix_engine.build_operators(cao) if not cao.schedule else None
+    segments = schedule_segments(cao)
     state = cao.initial_state()
     for k in range(steps):
+        if k == 0 or k in cao.schedule:
+            _, ops = next(segments)
+            matrix_ops = matrix_engine.build_operators(cao, ops)
         op_err = mx_err = None
         nxt_o = nxt_m = None
         commons_o = commons_m = None
         try:
-            nxt_o, firings = op_engine.step(state, cao, k)
+            nxt_o, firings = op_engine.step(state, cao, k, ops)
             commons_o = op_engine.common_carry_vector(firings, cao.size)
         except NegativeCardinalError as err:
             op_err = err
         try:
-            ops = static_ops if static_ops is not None else matrix_engine.effective_operators(cao, k)
-            nxt_m, commons_m = matrix_engine.step_general(state, ops, cao.mode, k)
+            nxt_m, commons_m = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
         except NegativeCardinalError as err:
             mx_err = err
         if op_err is not None or mx_err is not None:

@@ -165,18 +165,26 @@ def wide_cao(rng: random.Random, *, with_schedule: bool = False, name: str = "wi
     schedule: dict[int, list[Override]] = {}
     if with_schedule:
         for _ in range(rng.randint(2, 6)):
-            oi = rng.randrange(len(operators))
-            op = operators[oi]
-            pick = rng.choice(("radix", "coeff", "enabled"))
-            if pick == "radix":
-                ov = Override(oi, "radix", rng.choice(op.operand_entities()), rational(1, 4, 3))
-            elif pick == "coeff":
-                ov = Override(oi, "coeff", rng.choice(op.image_entities()), rational(0, 6, 2))
-            else:
-                ov = Override(oi, "enabled", None, rng.random() < 0.5)
+            ov = wide_override(rng, operators)
             schedule.setdefault(rng.randint(1, 19), []).append(ov)
 
     cao = Cao(name, entities, tuple(operators), mode, schedule)
     problems = validate_cao(cao)
     assert not problems, problems
     return cao
+
+
+def wide_override(rng: random.Random, operators) -> Override:
+    """One valid override of a random operator of a ``wide_cao`` network:
+    a new radix or a non-negative coefficient in ``wide_cao``'s ranges, or an
+    enable flag."""
+    oi = rng.randrange(len(operators))
+    op = operators[oi]
+    pick = rng.choice(("radix", "coeff", "enabled"))
+    if pick == "radix":
+        entity = rng.choice(op.operand_entities())
+        return Override(oi, "radix", entity, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+    if pick == "coeff":
+        entity = rng.choice(op.image_entities())
+        return Override(oi, "coeff", entity, Fraction(rng.randint(0, 6), rng.randint(1, 2)))
+    return Override(oi, "enabled", None, rng.random() < 0.5)

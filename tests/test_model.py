@@ -17,6 +17,7 @@ from snsq.model import (
     apply_schedule,
     build_configuration_matrix,
     carry_partition,
+    schedule_segments,
     validate_cao,
 )
 
@@ -300,3 +301,68 @@ class TestSchedule:
         for cao in bad:
             with pytest.raises(ScheduleError):
                 apply_schedule(cao, 0)
+
+
+def new_radix(value):
+    return Override(0, "radix", 0, Fr(value))
+
+
+class TestScheduleSegments:
+    def test_each_schedule_step_opens_a_segment(self):
+        # keys at 0 and below fold into the step-0 segment; gaps between
+        # keys are covered by the segment before them
+        cao = two_entities(
+            schedule={-1: (new_radix(9),), 0: (new_radix(3),), 2: (new_radix(4),), 7: (new_radix(5),)}
+        )
+        segments = list(schedule_segments(cao))
+        assert [start for start, _ in segments] == [0, 2, 7]
+        assert [ops[0].operands[0].radix for _, ops in segments] == [3, 4, 5]
+        for step, index in [(0, 0), (1, 0), (2, 1), (6, 1), (7, 2), (50, 2)]:
+            assert apply_schedule(cao, step) == segments[index][1]
+
+    def test_overrides_at_one_step_apply_in_slot_order(self):
+        cao = two_entities(
+            schedule={
+                1: (
+                    new_radix(4),
+                    Override(0, "enabled", None, False),
+                    Override(0, "coeff", 1, Fr(5)),
+                    new_radix(8),
+                    Override(0, "enabled", None, True),
+                )
+            }
+        )
+        (_, base), (start, ops) = schedule_segments(cao)
+        assert base is cao.operators and start == 1
+        assert ops[0].operands[0].radix == 8
+        assert ops[0].images[0].coefficient == 5
+        assert ops[0].enabled
+
+    def test_disable_then_reenable(self):
+        cao = two_entities(
+            schedule={
+                2: (Override(0, "enabled", None, False),),
+                5: (Override(0, "enabled", None, True),),
+            }
+        )
+        segments = list(schedule_segments(cao))
+        assert [(start, ops[0].enabled) for start, ops in segments] == [(0, True), (2, False), (5, True)]
+        assert segments[2][1] == cao.operators
+
+    def test_unscheduled_network_is_one_segment(self):
+        cao = two_entities()
+        segments = list(schedule_segments(cao))
+        assert segments == [(0, cao.operators)]
+        assert segments[0][1] is cao.operators
+
+    def test_a_segment_is_folded_only_when_asked_for(self):
+        # entity 1 is not an operand of operator 0, so step 3 cannot apply
+        cao = two_entities(schedule={1: (new_radix(4),), 3: (Override(0, "radix", 1, Fr(2)),)})
+        segments = schedule_segments(cao)
+        assert next(segments)[0] == 0
+        assert next(segments)[0] == 1
+        assert apply_schedule(cao, 2)[0].operands[0].radix == 4
+        with pytest.raises(ScheduleError):
+            next(segments)
+        with pytest.raises(ScheduleError):
+            apply_schedule(cao, 3)

@@ -8,7 +8,6 @@ from snsq.rationals import (
     as_rational,
     floor_to_integer,
     format_rational,
-    normalize,
     parse_rational,
 )
 
@@ -49,13 +48,6 @@ def test_as_rational_coercions():
 def test_as_rational_refuses_floats():
     with pytest.raises(TypeError):
         as_rational(0.1)
-
-
-def test_normalize():
-    assert normalize(6, 4) == Fraction(3, 2)
-    assert normalize(5) == Fraction(5)
-    with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
 
 
 def test_floor_toward_minus_infinity():

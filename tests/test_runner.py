@@ -1,10 +1,13 @@
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
-from snsq import op_engine
+from corpus import wide_cao, wide_override
+from snsq import model, op_engine
 from snsq.model import (
     Cao,
     CarryKind,
@@ -15,11 +18,12 @@ from snsq.model import (
     Operand,
     Operator,
     Override,
+    ScheduleError,
+    validate_cao,
 )
 from snsq.runner import (
     StopReason,
     check_equivalence,
-    detect_fixed_point,
     render_trace,
     run,
     write_trace,
@@ -141,9 +145,14 @@ class TestRun:
         with pytest.raises(ValueError):
             run(build_ref7(), max_steps=-1)
 
-    def test_detect_fixed_point(self):
-        assert detect_fixed_point((Fr(1), Fr(2)), (Fr(1), Fr(2)))
-        assert not detect_fixed_point((Fr(1), Fr(2)), (Fr(1), Fr(3)))
+    def test_fixed_point_needs_exact_equality(self):
+        # (1, 1 + 10^-40) swaps into a state that differs only in the 40th
+        # decimal place: that is a 2-cycle, not a fixed point
+        tiny = Fr(1, 10**40)
+        result = run(two_loop(1, 1 + tiny), max_steps=50)
+        assert result.outcome.reason is StopReason.CYCLE_DETECTED
+        assert result.outcome.steps == 2
+        assert [r.state for r in result.records] == [(1, 1 + tiny), (1 + tiny, 1), (1, 1 + tiny)]
 
 
 class TestEquivalence:
@@ -163,8 +172,8 @@ class TestEquivalence:
     def test_state_divergence_is_localized(self, monkeypatch):
         real = op_engine.step
 
-        def skewed(state, cao, k):
-            new, firings = real(state, cao, k)
+        def skewed(state, cao, k, operators=None):
+            new, firings = real(state, cao, k, operators)
             return (new[0] + 1,) + new[1:], firings
 
         monkeypatch.setattr("snsq.op_engine.step", skewed)
@@ -190,7 +199,7 @@ class TestEquivalence:
         assert report.matrix_value == REF7_CARRIES[0][3]
 
     def test_one_sided_violation_is_an_outcome_divergence(self, monkeypatch):
-        def refuses(state, cao, k):
+        def refuses(state, cao, k, operators=None):
             raise NegativeCardinalError("i", Fr(-1), k)
 
         monkeypatch.setattr("snsq.op_engine.step", refuses)
@@ -199,6 +208,128 @@ class TestEquivalence:
         assert report.kind == "outcome" and report.entity == "i"
         assert report.operator_value == Fr(-1)
         assert report.matrix_value is None
+
+
+def raw_trajectory(cao, steps):
+    """States 0..steps and carry vectors 0..steps-1 of ``op_engine.step`` driven
+    through its own ``apply_schedule`` path, with no runner in the loop."""
+    state = cao.initial_state()
+    states, carries = [state], []
+    for k in range(steps):
+        state, firings = op_engine.step(state, cao, k)
+        carries.append(op_engine.common_carry_vector(firings, cao.size))
+        states.append(state)
+    return states, carries
+
+
+def retuned_ring(steps):
+    """Three integer entities passing their whole content around a ring, with
+    the coefficient of one operator set to 2 or 3 at each of ``steps`` steps.
+    The total only grows, so the trajectory never rests or repeats."""
+    return Cao(
+        "ring",
+        (Entity(0, "a", 1), Entity(1, "b", 0), Entity(2, "c", 0)),
+        tuple(
+            Operator(CarryKind.INTEGER_FLOOR, (Operand(i, 1),), (Image((i + 1) % 3, 2),))
+            for i in range(3)
+        ),
+        schedule={k: (Override(k % 3, "coeff", (k + 1) % 3, Fr(2 + k % 2)),) for k in range(steps)},
+    )
+
+
+# ROADMAP item 1's two networks: a run stops at a repeat or a still step
+# that a later override would leave.
+SWAP = replace(two_loop(1, 0), name="swap", schedule={5: (Override(1, "enabled", None, False),)})
+LATE = Cao(
+    "late",
+    (Entity(0, "a", 4), Entity(1, "b", 0)),
+    (Operator(RATIONAL, (Operand(0, 1),), (Image(1, 1),)),),
+    schedule={0: (Override(0, "enabled", None, False),), 3: (Override(0, "enabled", None, True),)},
+)
+
+
+class TestSchedules:
+    def test_each_override_is_folded_once_per_run(self, monkeypatch):
+        cao = retuned_ring(300)
+        folds = 0
+        real = model._overridden
+
+        def counting(op, ov, mode):
+            nonlocal folds
+            folds += 1
+            return real(op, ov, mode)
+
+        monkeypatch.setattr(model, "_overridden", counting)
+        for backend in ("operator", "matrix"):
+            folds = 0
+            assert run(cao, 300, backend).outcome.reason is StopReason.STEP_LIMIT
+            assert folds == 300
+        folds = 0
+        report = check_equivalence(cao, 300)
+        assert report.equivalent and report.steps == 300
+        assert folds == 300
+
+    @pytest.mark.parametrize("backend", ["operator", "matrix"])
+    def test_an_override_beyond_the_budget_never_raises(self, backend):
+        # entity 2 is not an operand of operator 0, so step 6 cannot apply
+        cao = replace(retuned_ring(0), schedule={6: (Override(0, "radix", 2, Fr(2)),)})
+        assert run(cao, 5, backend).outcome.reason is StopReason.STEP_LIMIT
+        assert check_equivalence(cao, 6).steps == 6
+        with pytest.raises(ScheduleError):
+            run(cao, 6, backend)
+        with pytest.raises(ScheduleError):
+            check_equivalence(cao, 7)
+
+    def test_runs_follow_the_raw_trajectory_across_segments(self):
+        # networks whose raw trajectory neither rests, repeats nor violates
+        # within the budget, so the run must take all of its steps
+        rng = random.Random(0x5E9)
+        steps = 20
+        followed = 0
+        for case in range(8):
+            cao = wide_cao(rng, with_schedule=True, name=f"seg{case}")
+            try:
+                states, carries = raw_trajectory(cao, steps + 1)
+            except NegativeCardinalError:
+                continue
+            if len(set(states)) < len(states):
+                continue
+            followed += 1
+            for backend in ("operator", "matrix"):
+                result = run(cao, steps, backend)
+                assert result.outcome.reason is StopReason.STEP_LIMIT
+                assert result.outcome.final_state == states[steps]
+                assert [r.common_carry for r in result.records] == carries[:steps] + [None]
+        assert followed >= 5
+
+    def test_backends_agree_over_long_schedules(self):
+        # wide_cao schedules steps 1-19 only; these carry an override at
+        # every step of the comparison
+        rng = random.Random(1)
+        compared = []
+        for case in range(10):
+            base = wide_cao(rng, name=f"long{case}")
+            schedule = {k: (wide_override(rng, base.operators),) for k in range(200)}
+            cao = replace(base, schedule=schedule)
+            assert not validate_cao(cao)
+            report = check_equivalence(cao, 200)
+            assert report.equivalent, report
+            compared.append(report.steps)
+        assert max(compared) == 200
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the fixed-point and cycle tests ignore the schedule, so "
+        "the run stops early; the fix changes scheduled corpus outputs and must rewrite "
+        "perfbench/expected.json with perfbench/expected.py",
+    )
+    @pytest.mark.parametrize("backend", ["operator", "matrix"])
+    @pytest.mark.parametrize("cao", [SWAP, LATE], ids=["swap", "late"])
+    def test_scheduled_run_ends_where_the_raw_trajectory_rests(self, cao, backend):
+        states, _ = raw_trajectory(cao, 8)
+        result = run(cao, 8, backend)
+        assert result.outcome.final_state == states[8]
+        assert result.outcome.reason is StopReason.FIXED_POINT
 
 
 class TestTraces:
