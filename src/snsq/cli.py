@@ -40,6 +40,17 @@ def _load(path: str) -> tuple[Cao | None, int]:
     return result.cao, 0
 
 
+def _step_budget(text: str) -> int:
+    """argparse type for ``--steps`` and ``--max-steps``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid step budget: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"step budget must be non-negative, got {value}")
+    return value
+
+
 def _print_state(names: tuple[str, ...], state: tuple[Fraction, ...]) -> None:
     for name, value in zip(names, state):
         print(f"{name} = {format_rational(value)}")
@@ -169,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a network and print the final state")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, required=True, help="step budget")
+    p.add_argument("--steps", type=_step_budget, required=True, help="step budget")
     p.add_argument("--backend", choices=runner.BACKENDS, default="operator")
     p.add_argument("--trace", metavar="PATH", help="write the trajectory to PATH")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -177,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixpoint", help="run until the state settles, repeats, or hits the budget")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_step_budget, default=1000)
     p.add_argument("--backend", choices=runner.BACKENDS, default="operator")
     p.set_defaults(func=_cmd_fixpoint)
 
@@ -187,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run both backends in lockstep and compare")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_step_budget, required=True)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -53,6 +53,7 @@ KEYWORDS = frozenset(
 )
 
 _PUNCT = "{}(),;:="
+_DIGITS = frozenset("0123456789")  # the digits parse_rational accepts; str.isdigit takes more
 
 
 @dataclass(frozen=True)
@@ -146,21 +147,21 @@ def _lex(text: str, diags: list[Diagnostic]) -> list[_Token]:
             i += 2
             col += 2
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             # a slash joins the literal only when digits follow it directly
-            if j + 1 < n and text[j] == "/" and text[j + 1].isdigit():
+            if j + 1 < n and text[j] == "/" and text[j + 1] in _DIGITS:
                 j += 2
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             lexeme = text[i:j]
             span = Span(line, start, j - i)
             try:
                 value = parse_rational(lexeme)
-            except ValueError:
-                diags.append(Diagnostic("error", f"zero denominator in {lexeme!r}", span))
+            except ValueError as err:
+                diags.append(Diagnostic("error", str(err), span))
                 value = Fraction(0)
             tokens.append(_Token("NUMBER", lexeme, span, value))
             col += j - i

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 Rational = Fraction
@@ -41,17 +42,21 @@ def floor_to_integer(a: Fraction) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse `digits` or `digits/digits` with an optional leading minus sign.
 
-    Anything else, including decimal points and a zero denominator, raises
-    ValueError.
+    Anything else, including decimal points, a zero denominator and an integer
+    longer than Python's int<->str conversion limit, raises ValueError.
     """
     if _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    if den == "":
-        return Fraction(int(num))
-    if int(den) == 0:
+    try:
+        numerator, denominator = int(num), int(den) if den else 1
+    except ValueError:  # the pattern admits only ASCII digits: int() refused the length
+        digits = max(len(num.lstrip("-")), len(den))
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"integer of {digits} digits exceeds the {limit}-digit limit") from None
+    if denominator == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(numerator, denominator) if den else Fraction(numerator)
 
 
 def format_rational(a: Fraction) -> str:

@@ -22,16 +22,17 @@ records in all.
 lockstep and reports the first step, entity, and values where they disagree;
 on a valid network they never should.
 
-Both fold the network's schedule once per run: they read it as segments
-(``model.schedule_segments``) in step order, take the next segment when k
-reaches its first step, and hand the segment's operators to the engines. The
-matrix backend builds its state-equation operators once per segment.
+Both consume one stepping core, ``_stepper``. It is the only code that folds
+the schedule (a ``model.schedule_segments`` segment at a time, as k reaches
+it), builds the matrix operators (once per segment, matrix backend only) and
+calls the engines.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -80,6 +81,30 @@ class RunResult:
     records: tuple[StepRecord, ...]
 
 
+def _stepper(cao: Cao, matrix: bool):
+    """Yield, for k = 0, 1, 2, ..., a function that takes step k from a state on
+    a backend ("matrix" only when ``matrix`` is true), valid until the next is
+    drawn. It returns (next state, common carries, firings, None), or (None,
+    None, (), (entity, value)) for a step that would drive that entity negative."""
+    segments = schedule_segments(cao)
+    for k in itertools.count():
+        if k == 0 or k in cao.schedule:
+            _, ops = next(segments)
+            matrix_ops = matrix_engine.build_operators(cao, ops) if matrix else None
+
+        def take(state: State, backend: str):
+            try:
+                if backend == "operator":
+                    nxt, firings = op_engine.step(state, cao, k, ops)
+                    return nxt, op_engine.common_carry_vector(firings, cao.size), firings, None
+                nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
+                return nxt, commons, (), None
+            except NegativeCardinalError as err:
+                return None, None, (), (err.entity, err.value)
+
+        yield take
+
+
 def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult:
     """Drive a network from its initial state for at most ``max_steps`` steps."""
     if backend not in BACKENDS:
@@ -87,45 +112,28 @@ def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
 
-    segments = schedule_segments(cao)
     state = cao.initial_state()
     seen: dict[State, int] = {state: 0}
     records: list[StepRecord] = []
     k = 0
-    while True:
-        if k == 0 or k in cao.schedule:
-            _, ops = next(segments)
-            if backend == "matrix":
-                matrix_ops = matrix_engine.build_operators(cao, ops)
-        try:
-            if backend == "operator":
-                nxt, firings = op_engine.step(state, cao, k, ops)
-                commons = op_engine.common_carry_vector(firings, cao.size)
-            else:
-                nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
-                firings = ()
-        except NegativeCardinalError as err:
-            records.append(StepRecord(k, state))
-            outcome = RunOutcome(
-                StopReason.QMINUS_VIOLATION, k, state, violation=(err.entity, err.value)
-            )
-            return RunResult(outcome, tuple(records))
-        if nxt == state:
-            records.append(StepRecord(k, state))
-            return RunResult(RunOutcome(StopReason.FIXED_POINT, k, state), tuple(records))
-        if k == max_steps:
-            records.append(StepRecord(k, state))
-            return RunResult(RunOutcome(StopReason.STEP_LIMIT, k, state), tuple(records))
-        records.append(StepRecord(k, state, commons, firings))
-        state = nxt
-        k += 1
-        if state in seen:
-            records.append(StepRecord(k, state))
-            outcome = RunOutcome(
-                StopReason.CYCLE_DETECTED, k, state, revisit_of=seen[state]
-            )
-            return RunResult(outcome, tuple(records))
-        seen[state] = k
+    for take in _stepper(cao, backend == "matrix"):
+        nxt, commons, firings, violation = take(state, backend)
+        if violation is not None:
+            outcome = RunOutcome(StopReason.QMINUS_VIOLATION, k, state, violation=violation)
+        elif nxt == state:
+            outcome = RunOutcome(StopReason.FIXED_POINT, k, state)
+        elif k == max_steps:
+            outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
+        else:
+            records.append(StepRecord(k, state, commons, firings))
+            state, k = nxt, k + 1
+            # one hash of the new state; k's int is shared with its record
+            first = seen.setdefault(state, k)
+            if first == k:
+                continue
+            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k, state, revisit_of=first)
+        records.append(StepRecord(outcome.steps, state))
+        return RunResult(outcome, tuple(records))
 
 
 @dataclass(frozen=True)
@@ -150,64 +158,38 @@ class EquivalenceReport:
 def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
     """Step both backends in lockstep for up to ``steps`` steps (stopping early
     at a shared fixed point or a matching violation) and compare exactly."""
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     names = cao.entity_names()
-    segments = schedule_segments(cao)
     state = cao.initial_state()
-    for k in range(steps):
-        if k == 0 or k in cao.schedule:
-            _, ops = next(segments)
-            matrix_ops = matrix_engine.build_operators(cao, ops)
-        op_err = mx_err = None
-        nxt_o = nxt_m = None
-        commons_o = commons_m = None
-        try:
-            nxt_o, firings = op_engine.step(state, cao, k, ops)
-            commons_o = op_engine.common_carry_vector(firings, cao.size)
-        except NegativeCardinalError as err:
-            op_err = err
-        try:
-            nxt_m, commons_m = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
-        except NegativeCardinalError as err:
-            mx_err = err
-        if op_err is not None or mx_err is not None:
-            same = (
-                op_err is not None
-                and mx_err is not None
-                and (op_err.entity, op_err.value) == (mx_err.entity, mx_err.value)
-            )
-            if same:
+    # range first, so that zip stops before the stepper folds past the budget
+    for k, take in zip(range(steps), _stepper(cao, True)):
+        nxt_o, commons_o, _, op_violation = take(state, "operator")
+        nxt_m, commons_m, _, mx_violation = take(state, "matrix")
+        if op_violation is not None or mx_violation is not None:
+            if op_violation == mx_violation:  # both set, same entity and value
                 return EquivalenceReport(True, k)
             return EquivalenceReport(
                 False,
                 k,
                 step=k,
-                entity=(op_err or mx_err).entity,
+                entity=(op_violation or mx_violation)[0],
                 kind="outcome",
-                operator_value=None if op_err is None else op_err.value,
-                matrix_value=None if mx_err is None else mx_err.value,
+                operator_value=None if op_violation is None else op_violation[1],
+                matrix_value=None if mx_violation is None else mx_violation[1],
             )
-        for e in range(cao.size):
-            if commons_o[e] != commons_m[e]:
-                return EquivalenceReport(
-                    False,
-                    k,
-                    step=k,
-                    entity=names[e],
-                    kind="carry",
-                    operator_value=commons_o[e],
-                    matrix_value=commons_m[e],
-                )
-        for e in range(cao.size):
-            if nxt_o[e] != nxt_m[e]:
-                return EquivalenceReport(
-                    False,
-                    k,
-                    step=k,
-                    entity=names[e],
-                    kind="state",
-                    operator_value=nxt_o[e],
-                    matrix_value=nxt_m[e],
-                )
+        for kind, op_values, mx_values in (("carry", commons_o, commons_m), ("state", nxt_o, nxt_m)):
+            for e in range(cao.size):
+                if op_values[e] != mx_values[e]:
+                    return EquivalenceReport(
+                        False,
+                        k,
+                        step=k,
+                        entity=names[e],
+                        kind=kind,
+                        operator_value=op_values[e],
+                        matrix_value=mx_values[e],
+                    )
         if nxt_o == state:
             return EquivalenceReport(True, k)
         state = nxt_o

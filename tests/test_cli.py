@@ -237,6 +237,23 @@ class TestArgumentErrors:
             main(["run", ALLFORMS])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", ALLFORMS, "--steps", "-1"],
+            ["fixpoint", ALLFORMS, "--max-steps", "-2"],
+            ["check", ALLFORMS, "--steps", "-3"],
+        ],
+        ids=["run", "fixpoint", "check"],
+    )
+    def test_negative_budget_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"step budget must be non-negative, got {argv[-1]}" in captured.err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -200,6 +201,20 @@ class TestDiagnostics:
         result = parse('cao "t" { entity a = 1/0; }')
         assert not result.ok
         assert any("zero denominator" in d.message for d in result.errors)
+
+    def test_literal_over_the_int_str_limit(self):
+        result = parse('cao "t" { entity a = 1/' + "7" * 5000 + "; }")
+        (err,) = result.errors
+        limit = sys.get_int_max_str_digits()
+        assert err.message == f"integer of 5000 digits exceeds the {limit}-digit limit"
+        assert err.span == Span(1, 22, 5002)
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # ARABIC-INDIC THREE, SUPERSCRIPT TWO
+    def test_non_ascii_digit_is_not_a_number(self, digit):
+        result = parse('cao "t" { entity a = ' + digit + "; }")
+        assert result.errors[0].message == f"unexpected character {digit!r}"
+        assert result.errors[0].span == Span(1, 22, 1)
+        assert not any("denominator" in d.message for d in result.errors)
 
     def test_unexpected_character(self):
         result = parse('cao "t" { entity a = 1; $ }')

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
 from corpus import wide_cao, wide_override
-from snsq import model, op_engine
+from snsq import matrix_engine, model, op_engine
 from snsq.model import (
     Cao,
     CarryKind,
@@ -144,6 +144,8 @@ class TestRun:
             run(build_ref7(), backend="quantum")
         with pytest.raises(ValueError):
             run(build_ref7(), max_steps=-1)
+        with pytest.raises(ValueError):
+            check_equivalence(build_ref7(), -1)
 
     def test_fixed_point_needs_exact_equality(self):
         # (1, 1 + 10^-40) swaps into a state that differs only in the 40th
@@ -250,24 +252,32 @@ LATE = Cao(
 
 class TestSchedules:
     def test_each_override_is_folded_once_per_run(self, monkeypatch):
+        # and the matrix operators are built once per segment, only when the
+        # matrix backend is in use
         cao = retuned_ring(300)
-        folds = 0
-        real = model._overridden
+        folds = builds = 0
+        real_fold, real_build = model._overridden, matrix_engine.build_operators
 
-        def counting(op, ov, mode):
+        def counting_fold(op, ov, mode):
             nonlocal folds
             folds += 1
-            return real(op, ov, mode)
+            return real_fold(op, ov, mode)
 
-        monkeypatch.setattr(model, "_overridden", counting)
-        for backend in ("operator", "matrix"):
-            folds = 0
+        def counting_build(cao, operators=None):
+            nonlocal builds
+            builds += 1
+            return real_build(cao, operators)
+
+        monkeypatch.setattr(model, "_overridden", counting_fold)
+        monkeypatch.setattr(matrix_engine, "build_operators", counting_build)
+        for backend, expected_builds in (("operator", 0), ("matrix", 300)):
+            folds = builds = 0
             assert run(cao, 300, backend).outcome.reason is StopReason.STEP_LIMIT
-            assert folds == 300
-        folds = 0
+            assert (folds, builds) == (300, expected_builds)
+        folds = builds = 0
         report = check_equivalence(cao, 300)
         assert report.equivalent and report.steps == 300
-        assert folds == 300
+        assert (folds, builds) == (300, 300)
 
     @pytest.mark.parametrize("backend", ["operator", "matrix"])
     def test_an_override_beyond_the_budget_never_raises(self, backend):
