@@ -9,10 +9,15 @@ The format is line-oriented and small::
         at 1 { op 0 radix i = 4; op 1 enabled = false; }
     }
 
-Rationals are ``digits`` or ``digits/digits`` with an optional leading minus.
+Rationals are ``digits`` or ``digits/digits`` with an optional leading minus
+(ASCII digits; the pattern is :mod:`snsq.rationals`'s).
 The ``mode`` and ``kind`` headers are optional (default ``qplus`` and
 ``rational``); a per-operator kind overrides the header. Operator form is
 never written down — it follows from how many operands and images appear.
+
+Lexing takes one regular-expression match per token, a line at a time, and
+yields tokens as the LL(1) parser pulls them; only tokens a diagnostic may
+point at are kept. Columns count characters, so a tab is one column.
 
 Parsing is total: any input, including binary garbage, yields a
 :class:`ParseResult` whose diagnostics carry 1-based line/column spans.
@@ -28,6 +33,8 @@ back reproduces the network exactly.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,7 +50,7 @@ from snsq.model import (
     Violation,
     validate_cao,
 )
-from snsq.rationals import format_rational, parse_rational
+from snsq.rationals import _RATIONAL_RE, format_rational, parse_rational
 
 KEYWORDS = frozenset(
     {
@@ -53,7 +60,6 @@ KEYWORDS = frozenset(
 )
 
 _PUNCT = "{}(),;:="
-_DIGITS = frozenset("0123456789")  # the digits parse_rational accepts; str.isdigit takes more
 
 
 @dataclass(frozen=True)
@@ -97,145 +103,130 @@ class ParseResult:
         return tuple(d for d in self.diagnostics if d.severity == "warning")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
     type: str  # NAME, KEYWORD, NUMBER, STRING, ARROW, one of _PUNCT, EOF
     text: str
-    span: Span
-    value: object = None  # Fraction for NUMBER, str payload for STRING
+    line: int
+    column: int
+    value: object = None  # Fraction for NUMBER, str payload for STRING and names
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.column, len(self.text))
 
 
-def _lex(text: str, diags: list[Diagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = col
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] == "\n":
-                diags.append(
-                    Diagnostic("error", "unterminated string", Span(line, start, j - i))
-                )
-                tokens.append(_Token("STRING", text[i:j], Span(line, start, j - i), text[i + 1 : j]))
-                col += j - i
-                i = j
-                continue
-            tokens.append(
-                _Token("STRING", text[i : j + 1], Span(line, start, j + 1 - i), text[i + 1 : j])
-            )
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", "->", Span(line, start, 2)))
-            i += 2
-            col += 2
-            continue
-        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            # a slash joins the literal only when digits follow it directly
-            if j + 1 < n and text[j] == "/" and text[j + 1] in _DIGITS:
-                j += 2
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            lexeme = text[i:j]
-            span = Span(line, start, j - i)
-            try:
-                value = parse_rational(lexeme)
-            except ValueError as err:
-                diags.append(Diagnostic("error", str(err), span))
-                value = Fraction(0)
-            tokens.append(_Token("NUMBER", lexeme, span, value))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            ttype = "KEYWORD" if lexeme in KEYWORDS else "NAME"
-            tokens.append(_Token(ttype, lexeme, Span(line, start, j - i), lexeme))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, Span(line, start, 1)))
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic("error", f"unexpected character {c!r}", Span(line, start, 1)))
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", Span(line, col, 0)))
-    return tokens
+# One alternative per token class, tried in order after the blanks before a
+# token. Lines are lexed one at a time: no token, string or comment spans a
+# newline. WORD is NAME with a non-ASCII start, where ``[^\W\d]`` also admits
+# numeric characters such as ``\u00b2`` that ``str.isalpha`` refuses.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:"
+    rf"(?P<PUNCT>[{re.escape(_PUNCT)}])"
+    r"|(?P<NAME>[A-Za-z_]\w*)"
+    rf"|(?P<NUMBER>{_RATIONAL_RE.pattern})"
+    r"|(?P<ARROW>->)"
+    r'|(?P<STRING>"[^"]*")'
+    r'|(?P<UNTERMINATED>"[^"]*)'
+    r"|(?P<COMMENT>\#.*)"
+    r"|(?P<WORD>[^\W\d]\w*)"
+    r"|(?P<BAD>.)"
+    r")",
+    re.DOTALL,
+)
+
+
+def _lex(text: str, diags: list[Diagnostic]) -> Iterator[_Token]:
+    """Yield the tokens of ``text``, ending with EOF; lex errors go to ``diags``."""
+    match = _TOKEN_RE.match
+    number = 0
+    for raw in text.split("\n"):
+        number += 1
+        line = raw.rstrip(" \t\r")  # so the leading blanks of a match are always followed by a token
+        pos, end, eof_col = 0, len(line), len(raw) + 1
+        while pos < end:
+            m = match(line, pos)
+            pos = m.end()
+            kind = m.lastgroup
+            lexeme = m[kind]
+            col = pos - len(lexeme) + 1
+            if kind == "PUNCT":
+                yield _Token(lexeme, lexeme, number, col)
+            elif kind == "NAME":
+                yield _Token("KEYWORD" if lexeme in KEYWORDS else "NAME", lexeme, number, col, lexeme)
+            elif kind == "NUMBER":
+                try:
+                    value = parse_rational(lexeme)
+                except ValueError as err:
+                    diags.append(Diagnostic("error", str(err), Span(number, col, len(lexeme))))
+                    value = Fraction(0)
+                yield _Token("NUMBER", lexeme, number, col, value)
+            elif kind == "ARROW":
+                yield _Token("ARROW", lexeme, number, col)
+            elif kind == "STRING":
+                yield _Token("STRING", lexeme, number, col, lexeme[1:-1])
+            elif kind == "UNTERMINATED":
+                lexeme = raw[col - 1 :]  # with the blanks the strip took
+                diags.append(Diagnostic("error", "unterminated string", Span(number, col, len(lexeme))))
+                yield _Token("STRING", lexeme, number, col, lexeme[1:])
+            elif kind == "COMMENT":
+                eof_col = col  # the EOF column ignores a comment on the last line
+            elif kind == "WORD" and lexeme[0].isalpha():
+                yield _Token("NAME", lexeme, number, col, lexeme)  # keywords are ASCII
+            else:
+                pos = col  # a WORD that is no name resumes after its first character
+                diags.append(Diagnostic("error", f"unexpected character {lexeme[0]!r}", Span(number, col, 1)))
+    yield _Token("EOF", "", number, eof_col)
 
 
 @dataclass
-class _OpSpans:
-    keyword: Span
-    operands: list[tuple[Span, Span]]  # (name, radix) per slot
-    images: list[tuple[Span, Span]]  # (name, coefficient) per slot
+class _OpTokens:
+    keyword: _Token
+    operands: list[tuple[_Token, _Token]]  # (name, radix) per slot
+    images: list[tuple[_Token, _Token]]  # (name, coefficient) per slot
 
 
 @dataclass
-class _OverrideSpans:
-    op_index: Span
-    entity: Span | None
-    value: Span
+class _OverrideTokens:
+    op_index: _Token
+    entity: _Token | None
+    value: _Token
 
 
 @dataclass
 class _Builder:
-    """Accumulates the network plus the token spans each piece came from,
-    so structural violations can be pointed back at source text."""
+    """Accumulates the network plus the tokens each piece came from, so
+    structural violations can be pointed back at source text."""
 
     name: str = ""
     mode: Mode = Mode.Q_PLUS
     default_kind: CarryKind = CarryKind.RATIONAL_EXACT
     entities: list[Entity] = field(default_factory=list)
     by_name: dict[str, int] = field(default_factory=dict)
-    entity_spans: list[tuple[Span, Span]] = field(default_factory=list)
+    entity_tokens: list[tuple[_Token, _Token]] = field(default_factory=list)
     operators: list[Operator] = field(default_factory=list)
-    op_spans: list[_OpSpans] = field(default_factory=list)
+    op_tokens: list[_OpTokens] = field(default_factory=list)
     schedule: dict[int, list[Override]] = field(default_factory=dict)
-    override_spans: dict[tuple[int, int], _OverrideSpans] = field(default_factory=dict)
-    step_spans: dict[int, Span] = field(default_factory=dict)
+    override_tokens: dict[tuple[int, int], _OverrideTokens] = field(default_factory=dict)
+    step_tokens: dict[int, _Token] = field(default_factory=dict)
 
-    def add_entity(self, name: str, name_span: Span, value: Fraction, value_span: Span) -> Diagnostic | None:
+    def add_entity(self, name_tok: _Token, value_tok: _Token) -> Diagnostic | None:
+        name = name_tok.text
         if name in self.by_name:
-            return Diagnostic("error", f"duplicate entity name '{name}'", name_span)
+            return Diagnostic("error", f"duplicate entity name '{name}'", name_tok.span)
         self.by_name[name] = len(self.entities)
-        self.entities.append(Entity(len(self.entities), name, value))
-        self.entity_spans.append((name_span, value_span))
+        self.entities.append(Entity(len(self.entities), name, value_tok.value))
+        self.entity_tokens.append((name_tok, value_tok))
         return None
 
     def add_operator(
         self,
-        kw: Span,
+        kw: _Token,
         kind: CarryKind,
         operands: list[tuple[int | None, Fraction]],
-        ospans: list[tuple[Span, Span]],
+        otoks: list[tuple[_Token, _Token]],
         images: list[tuple[int | None, Fraction]],
-        ispans: list[tuple[Span, Span]],
+        itoks: list[tuple[_Token, _Token]],
     ) -> None:
         if any(e is None for e, _ in operands) or any(e is None for e, _ in images):
             return  # unresolved names already reported; the file cannot build
@@ -246,14 +237,14 @@ class _Builder:
                 tuple(Image(e, v) for e, v in images),
             )
         )
-        self.op_spans.append(_OpSpans(kw, ospans, ispans))
+        self.op_tokens.append(_OpTokens(kw, otoks, itoks))
 
     def add_override(
-        self, step: int, ov: Override, op_span: Span, ent_span: Span | None, val_span: Span
+        self, step: int, ov: Override, op_tok: _Token, ent_tok: _Token | None, val_tok: _Token
     ) -> None:
         slot = len(self.schedule.setdefault(step, []))
         self.schedule[step].append(ov)
-        self.override_spans[(step, slot)] = _OverrideSpans(op_span, ent_span, val_span)
+        self.override_tokens[(step, slot)] = _OverrideTokens(op_tok, ent_tok, val_tok)
 
     def build(self) -> Cao:
         return Cao(
@@ -266,42 +257,41 @@ class _Builder:
 
     def span_for(self, v: Violation) -> Span:
         if v.code == "negative-initial" and v.entity is not None:
-            return self.entity_spans[v.entity][1]
-        if v.operator is not None and v.operator < len(self.op_spans):
-            spans = self.op_spans[v.operator]
+            return self.entity_tokens[v.entity][1].span
+        if v.operator is not None and v.operator < len(self.op_tokens):
+            toks = self.op_tokens[v.operator]
             if v.code == "non-positive-radix" and v.operand is not None:
-                return spans.operands[v.operand][1]
+                return toks.operands[v.operand][1].span
             if v.code in ("duplicate-operand", "multiple-outgoing") and v.operand is not None:
-                return spans.operands[v.operand][0]
+                return toks.operands[v.operand][0].span
             if v.code in ("self-loop", "duplicate-image") and v.image is not None:
-                return spans.images[v.image][0]
+                return toks.images[v.image][0].span
             if v.code == "negative-coefficient" and v.image is not None:
-                return spans.images[v.image][1]
+                return toks.images[v.image][1].span
             if v.step is None:
-                return spans.keyword
+                return toks.keyword.span
         if v.step is not None:
             key = (v.step, v.override)
-            if key in self.override_spans:
-                spans = self.override_spans[key]
+            if key in self.override_tokens:
+                otoks = self.override_tokens[key]
                 if v.code == "schedule-bad-operator":
-                    return spans.op_index
+                    return otoks.op_index.span
                 if v.code in ("schedule-not-operand", "schedule-not-image"):
-                    return spans.entity or spans.value
-                return spans.value
-            if v.step in self.step_spans:
-                return self.step_spans[v.step]
+                    return (otoks.entity or otoks.value).span
+                return otoks.value.span
+            if v.step in self.step_tokens:
+                return self.step_tokens[v.step].span
         return Span(1, 1, 1)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diags: list[Diagnostic]):
-        self.toks = tokens
-        self.pos = 0
-        self.diags = diags
+    """Recursive descent over a token stream. The grammar is LL(1): every
+    decision reads ``cur`` alone, so tokens are pulled one at a time."""
 
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.pos]
+    def __init__(self, tokens: Iterator[_Token], diags: list[Diagnostic]):
+        self.tokens = tokens
+        self.cur = next(tokens)
+        self.diags = diags
 
     def at(self, ttype: str, text: str | None = None) -> bool:
         t = self.cur
@@ -310,7 +300,7 @@ class _Parser:
     def advance(self) -> _Token:
         t = self.cur
         if t.type != "EOF":
-            self.pos += 1
+            self.cur = next(self.tokens)
         return t
 
     def error(self, message: str, span: Span | None = None, expected: tuple[str, ...] | None = None) -> None:
@@ -418,7 +408,7 @@ class _Parser:
         if self.expect(";", what="';'") is None:
             self.recover()
         for tok in names:
-            dup = b.add_entity(tok.text, tok.span, num.value, num.span)
+            dup = b.add_entity(tok, num)
             if dup is not None:
                 self.diags.append(dup)
 
@@ -430,28 +420,28 @@ class _Parser:
 
     def parse_pairs(
         self, b: _Builder, what: str
-    ) -> tuple[list[tuple[int | None, Fraction]], list[tuple[Span, Span]], bool]:
+    ) -> tuple[list[tuple[int | None, Fraction]], list[tuple[_Token, _Token]], bool]:
         """``NAME : NUMBER`` pairs separated by commas, through the closing ')'."""
         pairs: list[tuple[int | None, Fraction]] = []
-        spans: list[tuple[Span, Span]] = []
+        toks: list[tuple[_Token, _Token]] = []
         while True:
             name_tok = self.expect_name(f"an {what} name")
             if name_tok is None:
-                return pairs, spans, False
+                return pairs, toks, False
             if self.expect(":", what="':'") is None:
-                return pairs, spans, False
+                return pairs, toks, False
             num = self.expect("NUMBER", what="a rational value")
             if num is None:
-                return pairs, spans, False
+                return pairs, toks, False
             pairs.append((self._resolve(b, name_tok), num.value))
-            spans.append((name_tok.span, num.span))
+            toks.append((name_tok, num))
             if self.at(","):
                 self.advance()
                 continue
             break
         if self.expect(")", what="')'") is None:
-            return pairs, spans, False
-        return pairs, spans, True
+            return pairs, toks, False
+        return pairs, toks, True
 
     def parse_op(self, b: _Builder) -> None:
         kw = self.advance()  # op
@@ -461,7 +451,7 @@ class _Parser:
         if self.expect("(", what="'('") is None:
             self.recover()
             return
-        operands, ospans, ok = self.parse_pairs(b, "operand")
+        operands, otoks, ok = self.parse_pairs(b, "operand")
         if not ok:
             self.recover()
             return
@@ -471,13 +461,13 @@ class _Parser:
         if self.expect("(", what="'('") is None:
             self.recover()
             return
-        images, ispans, ok = self.parse_pairs(b, "image")
+        images, itoks, ok = self.parse_pairs(b, "image")
         if not ok:
             self.recover()
             return
         if self.expect(";", what="';'") is None:
             self.recover()
-        b.add_operator(kw.span, kind, operands, ospans, images, ispans)
+        b.add_operator(kw, kind, operands, otoks, images, itoks)
 
     def parse_at(self, b: _Builder) -> None:
         self.advance()  # at
@@ -491,7 +481,7 @@ class _Parser:
             step = 0
         else:
             step = int(step_value)
-        b.step_spans.setdefault(step, num.span)
+        b.step_tokens.setdefault(step, num)
         if self.expect("{", what="'{'") is None:
             self.recover()
             return
@@ -537,9 +527,9 @@ class _Parser:
                 b.add_override(
                     step,
                     Override(opidx, field_tok.text, ent, num.value),
-                    idx_tok.span,
-                    name_tok.span,
-                    num.span,
+                    idx_tok,
+                    name_tok,
+                    num,
                 )
         elif self.at("KEYWORD", "enabled"):
             self.advance()
@@ -560,9 +550,9 @@ class _Parser:
             b.add_override(
                 step,
                 Override(opidx, "enabled", None, val_tok.text == "true"),
-                idx_tok.span,
+                idx_tok,
                 None,
-                val_tok.span,
+                val_tok,
             )
         else:
             self.error(
@@ -577,6 +567,8 @@ def parse(text: str) -> ParseResult:
     diags: list[Diagnostic] = []
     tokens = _lex(text, diags)
     builder = _Parser(tokens, diags).parse_cao()
+    for _ in tokens:  # lex errors past where the parser stopped still count
+        pass
     cao: Cao | None = None
     if builder is not None and not any(d.severity == "error" for d in diags):
         cao = builder.build()
@@ -590,7 +582,7 @@ def parse(text: str) -> ParseResult:
                             "warning",
                             f"zero coefficient toward image "
                             f"'{cao.entities[im.entity].name}' has no effect",
-                            builder.op_spans[oi].images[slot][1],
+                            builder.op_tokens[oi].images[slot][1].span,
                         )
                     )
     if any(d.severity == "error" for d in diags):

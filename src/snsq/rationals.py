@@ -60,5 +60,28 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(a: Fraction) -> str:
-    """Canonical text: `num` for integers, `num/den` otherwise. Never decimal."""
-    return str(a)
+    """Canonical text: `num` for integers, `num/den` otherwise. Never decimal.
+
+    Numerators and denominators past Python's int<->str conversion limit are
+    written in full too: the limit guards against converting untrusted text
+    (see `parse_rational`), not against printing values snsq computed.
+    """
+    try:
+        return str(a)
+    except ValueError:
+        num = _decimal(a.numerator)
+        return num if a.denominator == 1 else f"{num}/{_decimal(a.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of an int of any length, converted in pieces that every
+    setting of the int<->str limit admits; the global setting is left alone."""
+    width = sys.int_info.str_digits_check_threshold
+    chunk = 10**width
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        pieces.append(f"{low:0{width}d}")
+    pieces.append(str(n))
+    return sign + "".join(reversed(pieces))

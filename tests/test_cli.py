@@ -85,6 +85,21 @@ class TestRun:
         assert len(lines) == 4
         assert json.loads(lines[-1])["state"]["h"] == "189/640"
 
+    def test_state_past_the_int_str_limit(self, capsys, tmp_path):
+        coeff = "1" + "0" * 4000
+        path = tmp_path / "big.sns"
+        path.write_text(
+            f'cao "big" {{ entity a = 1; entity b, c = 0;'
+            f" op (a:1) -> (b:{coeff}); op (b:1) -> (c:{coeff}); }}\n",
+            encoding="utf-8",
+        )
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", str(path), "--steps", "5", "--trace", str(trace)]) == 0
+        c = "1" + "0" * 8000  # 8001 digits, past the 4300-digit default limit
+        assert capsys.readouterr().out == f"a = 0\nb = 0\nc = {c}\n"
+        last = trace.read_text(encoding="utf-8").splitlines()[-1]
+        assert json.loads(last)["state"]["c"] == c
+
     def test_csv_trace(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         code = main(

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SAMPLES, build_ref7, build_signed_inflow
-from corpus import random_cao
+from corpus import random_cao, wide_cao, wide_override
 from snsq.dsl import Diagnostic, Span, parse, serialize
 from snsq.model import (
     Cao,
@@ -243,6 +243,54 @@ class TestDiagnostics:
         assert str(d) == "3:5: error: msg"
 
 
+class TestLexing:
+    """Edge cases of how text splits into tokens, pinned to exact spans."""
+
+    def test_non_ascii_names(self):
+        cao = parse('cao "x" { entity \u00e9, \u00df_1 = 1; entity a\u00b2 = 2; }').cao
+        assert cao.entity_names() == ("\u00e9", "\u00df_1", "a\u00b2")
+
+    def test_tab_and_crlf_count_one_column_each(self):
+        text = 'cao "t" {\r\n\tentity a = 1;\r\n\top (a:2) -> (zz:1);\r\n}\r\n'
+        (err,) = parse(text).diagnostics
+        assert err.message == "unknown entity 'zz'"
+        assert err.span == Span(3, 15, 2)
+
+    def test_comment_at_end_of_input_without_newline(self):
+        assert parse('cao "t" { entity a = 1; }  # end').ok
+        (err,) = parse('cao "t" { entity a = 1; # end').diagnostics
+        assert err.message == "expected '}', found end of input"
+        assert err.span == Span(1, 25, 0)
+
+    def test_slash_without_denominator_digits(self):
+        (err,) = parse('cao "t" { entity a = 1/; }').diagnostics
+        assert (err.message, err.span) == ("unexpected character '/'", Span(1, 23, 1))
+        slash, semicolon = parse('cao "t" { entity a = 1/x; }').diagnostics
+        assert (slash.message, slash.span) == ("unexpected character '/'", Span(1, 23, 1))
+        assert (semicolon.message, semicolon.span) == ("expected ';', found 'x'", Span(1, 24, 1))
+
+    def test_lone_minus_before_a_space(self):
+        (err,) = parse('cao "t" { entity a = - 1; }').diagnostics
+        assert (err.message, err.span) == ("unexpected character '-'", Span(1, 22, 1))
+
+    def test_unterminated_string_runs_to_end_of_input(self):
+        result = parse('cao "x { entity a = 1; }')
+        assert [(d.message, d.span) for d in result.diagnostics] == [
+            ("unterminated string", Span(1, 5, 20)),
+            ("expected '{', found end of input", Span(1, 25, 0)),
+            ("expected '}', found end of input", Span(1, 25, 0)),
+        ]
+        (err,) = parse('cao "x \t\r\n{ }').diagnostics  # blanks at the end of the line count
+        assert (err.message, err.span) == ("unterminated string", Span(1, 5, 5))
+
+    def test_text_after_the_closing_brace_is_still_lexed(self):
+        result = parse('cao "x" { entity a = 1; } foo $')
+        assert [(d.message, d.span) for d in result.diagnostics] == [
+            ("unexpected text after the closing '}'", Span(1, 27, 3)),
+            ("unexpected character '$'", Span(1, 31, 1)),
+        ]
+
+
 GOLDEN = Cao(
     "tiny",
     (Entity(0, "a", Fr(3, 2)), Entity(1, "b", 0)),
@@ -288,6 +336,24 @@ class TestSerialization:
             cao = random_cao(rng, name=f"rt{case}")
             reparsed = parse(serialize(cao))
             assert reparsed.cao == cao, serialize(cao)
+
+    def test_wide_network_round_trip(self):
+        rng = random.Random(4096)
+        for case in range(20):
+            cao = wide_cao(rng, with_schedule=case % 2 == 1, name=f"wide{case}")
+            assert parse(serialize(cao)).cao == cao, serialize(cao)
+        base = wide_cao(rng, name="long")
+        schedule = {k: (wide_override(rng, base.operators),) for k in range(200)}
+        cao = Cao(base.name, base.entities, base.operators, base.mode, schedule)
+        assert parse(serialize(cao)).cao == cao
+
+    def test_values_past_the_int_str_limit(self):
+        big = Fr(10**5000, 3)
+        text = serialize(Cao("big", (Entity(0, "a", big),)))
+        assert "    entity a = 1" + "0" * 5000 + "/3;\n" in text
+        # parsing keeps its guard: such a literal is a precise diagnostic
+        (err,) = parse(text).errors
+        assert err.message.startswith("integer of 5001 digits exceeds the")
 
     def test_unrepresentable_networks_are_refused(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,20 @@ def test_format_is_never_decimal():
     assert format_rational(Fraction(22, 7)) == "22/7"
     assert format_rational(Fraction(8)) == "8"
     assert format_rational(Fraction(-15, 7)) == "-15/7"
+
+
+def test_format_past_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(Fraction(10**5000)) == "1" + "0" * 5000
+    assert format_rational(Fraction(-(10**5000) - 1, 3)) == "-1" + "0" * 4999 + "1/3"
+    big = Fraction(-(7**9000), 3**8000 + 1)  # 7606 and 3817 digits
+    text = format_rational(big)
+    assert sys.get_int_max_str_digits() == limit  # the global setting is left alone
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_as_rational_coercions():
