@@ -10,7 +10,12 @@ Subcommands::
 
 Exit codes: 0 success; 1 the file failed to read, parse, or validate; 2 a
 step would drive a cardinal negative (qminus violation); 3 the two backends
-disagreed. Diagnostics and violation details go to stderr, results to stdout.
+disagreed; 64 (``EX_USAGE``) a usage error, such as an unknown subcommand or
+a missing or negative step budget. Diagnostics and violation details go to
+stderr, results to stdout.
+
+``run`` and ``fixpoint`` keep no trajectory in memory: ``run --trace``
+writes each record to the file as the run makes it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,17 @@ from fractions import Fraction
 from snsq import dsl, matrix_engine, runner
 from snsq.model import Cao, build_configuration_matrix
 from snsq.rationals import format_rational
+
+
+EX_USAGE = 64  # sysexits.h; 2 is the qminus violation's code
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on their own exit code; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _load(path: str) -> tuple[Cao | None, int]:
@@ -65,10 +81,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cao, status = _load(args.file)
     if cao is None:
         return status
-    result = runner.run(cao, max_steps=args.steps, backend=args.backend)
+    records = runner.iter_run(cao, max_steps=args.steps, backend=args.backend)
     if args.trace:
-        runner.write_trace(args.trace, result.records, cao.entity_names(), args.format)
-    outcome = result.outcome
+        outcome = runner.write_trace(args.trace, records, cao.entity_names(), args.format)
+    else:
+        outcome = runner.drain(records)
     if outcome.reason is runner.StopReason.QMINUS_VIOLATION:
         entity, value = outcome.violation
         print(
@@ -86,8 +103,7 @@ def _cmd_fixpoint(args: argparse.Namespace) -> int:
     cao, status = _load(args.file)
     if cao is None:
         return status
-    result = runner.run(cao, max_steps=args.max_steps, backend=args.backend)
-    outcome = result.outcome
+    outcome = runner.drain(runner.iter_run(cao, max_steps=args.max_steps, backend=args.backend))
     print(f"{outcome.reason.value} after {outcome.steps} steps")
     if outcome.reason is runner.StopReason.QMINUS_VIOLATION:
         entity, value = outcome.violation
@@ -168,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snsq",
         description="Exact-rational simulator for carry/convert operator networks.",
     )

@@ -25,8 +25,11 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or `num[/den]` string to an exact rational.
 
     Floats are rejected outright: they would smuggle binary rounding onto a
-    state path.
+    state path. A Fraction (exactly that type) comes back as it is: it is
+    immutable and already canonical, so a copy would only cost time.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: state values must stay exact")
     if isinstance(value, str):

@@ -13,10 +13,14 @@ Stop conditions, in precedence order when several hold at once:
   (exact tuple equality; a period-1 repeat is reported as a fixed point by
   the rule above, never as a cycle).
 
-``run`` records the full trajectory: one record per executed step carrying
-the pre-step state, the per-entity common-carry vector, and (operator
-backend only) the firings, plus a final state-only record — ``steps + 1``
-records in all.
+``iter_run`` yields the trajectory one record at a time: one record per
+executed step carrying the pre-step state, the per-entity common-carry
+vector, and (operator backend only) the firings, plus a final state-only
+record — ``steps + 1`` records in all — and returns the ``RunOutcome``. It is
+the one run loop. ``run`` collects it into a ``RunResult``; the CLI streams
+it instead, keeping no records (``drain``) or writing each to the trace file
+as it is made (``write_trace``), so only the cycle set's states grow with
+the run.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -34,6 +38,7 @@ import csv
 import io
 import itertools
 import json
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -105,8 +110,16 @@ def _stepper(cao: Cao, matrix: bool):
         yield take
 
 
-def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult:
-    """Drive a network from its initial state for at most ``max_steps`` steps."""
+def iter_run(
+    cao: Cao, max_steps: int = 1000, backend: str = "operator"
+) -> Generator[StepRecord, None, RunOutcome]:
+    """Drive a network from its initial state for at most ``max_steps`` steps,
+    yielding each record as it is made; the generator returns the outcome.
+
+    Only the cycle set's states stay behind, so a consumer that drops the
+    records (``drain``) runs in memory that does not grow with the records.
+    Bad arguments raise ValueError when the generator is first advanced.
+    """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if max_steps < 0:
@@ -114,7 +127,6 @@ def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult
 
     state = cao.initial_state()
     seen: dict[State, int] = {state: 0}
-    records: list[StepRecord] = []
     k = 0
     for take in _stepper(cao, backend == "matrix"):
         nxt, commons, firings, violation = take(state, backend)
@@ -125,15 +137,36 @@ def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult
         elif k == max_steps:
             outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
         else:
-            records.append(StepRecord(k, state, commons, firings))
+            yield StepRecord(k, state, commons, firings)
             state, k = nxt, k + 1
             # one hash of the new state; k's int is shared with its record
             first = seen.setdefault(state, k)
             if first == k:
                 continue
             outcome = RunOutcome(StopReason.CYCLE_DETECTED, k, state, revisit_of=first)
-        records.append(StepRecord(outcome.steps, state))
-        return RunResult(outcome, tuple(records))
+        yield StepRecord(outcome.steps, state)
+        return outcome
+
+
+def drain(
+    records: Iterator[StepRecord], each: Callable[[StepRecord], object] | None = None
+) -> RunOutcome | None:
+    """Pass every record of ``records`` to ``each`` (if given) and keep none.
+    Returns what the iterator returns: an ``iter_run`` generator's outcome."""
+    while True:
+        try:
+            record = next(records)
+        except StopIteration as stop:
+            return stop.value
+        if each is not None:
+            each(record)
+
+
+def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult:
+    """``iter_run`` with every record collected."""
+    records: list[StepRecord] = []
+    outcome = drain(iter_run(cao, max_steps, backend), records.append)
+    return RunResult(outcome, tuple(records))
 
 
 @dataclass(frozen=True)
@@ -196,51 +229,80 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
     return EquivalenceReport(True, steps)
 
 
-def _named(names: tuple[str, ...], values: State) -> dict[str, str]:
-    return {names[e]: format_rational(values[e]) for e in range(len(names))}
+def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepRecord], str]]:
+    """The header of a trace and the function that renders one record of it:
+    a JSON line, or one CSV row per entity."""
+    if fmt == "jsonl":
+        # Text joined directly, in json.dumps's key order and compact
+        # separators: each name is JSON-encoded once, and a rational's text
+        # (digits, "-" and "/") never needs escaping. A valid network's names
+        # are unique, so no key repeats (a dict would have merged repeats).
+        keys = [json.dumps(name) for name in names]
+        every = range(len(names))
+
+        def entries(slots, values: State) -> str:
+            pairs = [f'{keys[e]}:"{format_rational(v)}"' for e, v in zip(slots, values)]
+            return "{" + ",".join(pairs) + "}"
+
+        def line(rec: StepRecord) -> str:
+            text = f'{{"step":{rec.step},"state":{entries(every, rec.state)}'
+            if rec.common_carry is not None:
+                text += f',"common_carry":{entries(every, rec.common_carry)}'
+            if rec.firings:
+                firings = ",".join(
+                    [
+                        f'{{"op":{f.operator},"common":"{format_rational(f.common)}",'
+                        f'"remainders":{entries(f.operands, f.remainders)},'
+                        f'"transformants":{entries(f.images, f.transformants)}}}'
+                        for f in rec.firings
+                    ]
+                )
+                text += f',"firings":[{firings}]'
+            return text + "}\n"
+
+        return "", line
+    if fmt == "csv":
+        # A name is quoted as the csv module quotes a middle field; a step
+        # number or a rational never needs quoting.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+
+        def csv_row(fields: list[str]) -> str:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(fields)
+            return buf.getvalue()
+
+        header = csv_row(["step", "entity", "cardinal"])
+        cells = [csv_row(["", name, ""])[:-1] for name in names]
+
+        def rows(rec: StepRecord) -> str:
+            step = str(rec.step)
+            return "".join(
+                f"{step}{cell}{format_rational(value)}\n" for cell, value in zip(cells, rec.state)
+            )
+
+        return header, rows
+    raise ValueError(f"unknown trace format {fmt!r}; expected 'jsonl' or 'csv'")
 
 
-def render_trace(records: tuple[StepRecord, ...], names: tuple[str, ...], fmt: str = "jsonl") -> str:
+def render_trace(records: Iterable[StepRecord], names: tuple[str, ...], fmt: str = "jsonl") -> str:
     """Render a trajectory as text: one JSON object per line, or flat CSV.
 
     All numbers are canonical rational strings, never floats, so rendering
     the same trajectory twice yields byte-identical output.
     """
-    if fmt == "jsonl":
-        lines = []
-        for rec in records:
-            obj: dict[str, object] = {"step": rec.step, "state": _named(names, rec.state)}
-            if rec.common_carry is not None:
-                obj["common_carry"] = _named(names, rec.common_carry)
-            if rec.firings:
-                obj["firings"] = [
-                    {
-                        "op": f.operator,
-                        "common": format_rational(f.common),
-                        "remainders": {
-                            names[e]: format_rational(f.remainders[s])
-                            for s, e in enumerate(f.operands)
-                        },
-                        "transformants": {
-                            names[e]: format_rational(f.transformants[s])
-                            for s, e in enumerate(f.images)
-                        },
-                    }
-                    for f in rec.firings
-                ]
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "entity", "cardinal"])
-        for rec in records:
-            for e, name in enumerate(names):
-                writer.writerow([rec.step, name, format_rational(rec.state[e])])
-        return buf.getvalue()
-    raise ValueError(f"unknown trace format {fmt!r}; expected 'jsonl' or 'csv'")
+    header, render = _renderer(names, fmt)
+    return header + "".join(map(render, records))
 
 
-def write_trace(path: str, records: tuple[StepRecord, ...], names: tuple[str, ...], fmt: str = "jsonl") -> None:
+def write_trace(
+    path: str, records: Iterable[StepRecord], names: tuple[str, ...], fmt: str = "jsonl"
+) -> RunOutcome | None:
+    """Write what ``render_trace`` renders, each record as soon as ``records``
+    yields it. Returns what the iterator returns: given an ``iter_run``
+    generator, the run's outcome. A run that raises leaves the records so far."""
+    header, render = _renderer(names, fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_trace(records, names, fmt))
+        fh.write(header)
+        return drain(iter(records), lambda rec: fh.write(render(rec)))

@@ -1,11 +1,17 @@
+import gc
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from conftest import SAMPLES
+from snsq import runner
 from snsq.cli import main
+from snsq.dsl import parse
 from snsq.runner import EquivalenceReport
 
 ALLFORMS = str(SAMPLES / "allforms7.sns")
@@ -111,6 +117,74 @@ class TestRun:
         assert "3,cup,3" in lines
 
 
+LOOP = """\
+cao "loop" {
+    entity a = 1;
+    entity b = 0;
+    op (a:1) -> (b:1);
+    op (b:1) -> (a:1);
+}
+"""
+
+
+class TestStreamedTrace:
+    """``run --trace`` writes records as the run makes them; the file holds
+    the bytes ``render_trace`` gives for the collected run."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("backend", ["operator", "matrix"])
+    @pytest.mark.parametrize("network", ["fixed_point", "qminus_violation", "cycle_detected"])
+    def test_bytes_match_the_collected_run(self, capsys, tmp_path, network, backend, fmt):
+        text = {
+            "fixed_point": (SAMPLES / "allforms7.sns").read_text(encoding="utf-8"),
+            "qminus_violation": BAD_QMINUS,
+            "cycle_detected": LOOP,
+        }[network]
+        path = tmp_path / "net.sns"
+        path.write_text(text, encoding="utf-8")
+        trace = tmp_path / f"t.{fmt}"
+        argv = ["run", str(path), "--steps", "10", "--backend", backend, "--trace", str(trace)]
+        assert main([*argv, "--format", fmt]) == (2 if network == "qminus_violation" else 0)
+        cao = parse(text).cao
+        result = runner.run(cao, 10, backend)
+        assert result.outcome.reason.value == network
+        assert trace.read_bytes() == runner.render_trace(
+            result.records, cao.entity_names(), fmt
+        ).encode("utf-8")
+
+
+def decay_text(rng: random.Random) -> str:
+    """perfbench's ``decay`` shape: a and b fuse into c, c spreads back over
+    both; the denominators grow by about 2 bits a step and never repeat."""
+    values = [Fraction(rng.randint(200, 999), rng.randint(1, 9)) for _ in "abc"]
+    return (
+        'cao "decay" {\n'
+        + "".join(f"    entity {name} = {value};\n" for name, value in zip("abc", values))
+        + "    op (a:2, b:3) -> (c:4);\n    op (c:5) -> (a:2, b:2);\n}\n"
+    )
+
+
+def traced_peak(fn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_keeps_no_records(capsys, tmp_path):
+    # the records of 1000 steps outweigh the cycle set's states about 3 to 1
+    path = tmp_path / "decay.sns"
+    path.write_text(decay_text(random.Random(6)), encoding="utf-8")
+    cao = parse(path.read_text(encoding="utf-8")).cao
+    collected = traced_peak(lambda: runner.run(cao, 1000))
+    streamed = traced_peak(lambda: main(["run", str(path), "--steps", "1000"]))
+    assert capsys.readouterr().out.startswith("a = ")
+    assert streamed < collected / 2, (streamed, collected)
+
+
 class TestFixpoint:
     def test_settling_network(self, capsys):
         assert main(["fixpoint", ALLFORMS]) == 0
@@ -122,15 +196,7 @@ class TestFixpoint:
 
     def test_cycle(self, capsys, tmp_path):
         path = tmp_path / "loop.sns"
-        path.write_text(
-            'cao "loop" {\n'
-            "    entity a = 1;\n"
-            "    entity b = 0;\n"
-            "    op (a:1) -> (b:1);\n"
-            "    op (b:1) -> (a:1);\n"
-            "}\n",
-            encoding="utf-8",
-        )
+        path.write_text(LOOP, encoding="utf-8")
         assert main(["fixpoint", str(path)]) == 0
         assert capsys.readouterr().out == "cycle_detected after 2 steps\n"
 
@@ -242,15 +308,22 @@ class TestCheck:
 
 
 class TestArgumentErrors:
-    def test_unknown_command(self):
+    # Usage errors exit 64 (EX_USAGE), not argparse's 2, which a qminus
+    # violation already means; the text on stderr is argparse's own.
+    def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
-        assert exc.value.code == 2
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: snsq ")
+        assert "\nsnsq: error: argument command: invalid choice: 'frobnicate'" in err
 
-    def test_run_requires_steps(self):
+    def test_run_requires_steps(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", ALLFORMS])
-        assert exc.value.code == 2
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.endswith("snsq run: error: the following arguments are required: --steps\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -264,7 +337,7 @@ class TestArgumentErrors:
     def test_negative_budget_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 64
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"step budget must be non-negative, got {argv[-1]}" in captured.err

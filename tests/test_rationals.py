@@ -57,7 +57,8 @@ def test_format_past_the_int_str_limit():
 def test_as_rational_coercions():
     assert as_rational(5) == Fraction(5)
     assert as_rational("21/8") == Fraction(21, 8)
-    assert as_rational(Fraction(2, 7)) == Fraction(2, 7)
+    exact = Fraction(2, 7)
+    assert as_rational(exact) is exact  # returned as it is, not copied
 
 
 def test_as_rational_refuses_floats():

@@ -1,13 +1,17 @@
+import csv
+import io
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction as Fr
+from itertools import islice
 
 import pytest
 
-from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
-from corpus import wide_cao, wide_override
+from conftest import SAMPLES, REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
+from corpus import random_cao, wide_cao, wide_override
 from snsq import matrix_engine, model, op_engine
+from snsq.dsl import parse
 from snsq.model import (
     Cao,
     CarryKind,
@@ -22,8 +26,12 @@ from snsq.model import (
     validate_cao,
 )
 from snsq.runner import (
+    BACKENDS,
+    RunResult,
     StopReason,
     check_equivalence,
+    drain,
+    iter_run,
     render_trace,
     run,
     write_trace,
@@ -40,6 +48,18 @@ def two_loop(a, b):
         (
             Operator(RATIONAL, (Operand(0, 1),), (Image(1, 1),)),
             Operator(RATIONAL, (Operand(1, 1),), (Image(0, 1),)),
+        ),
+    )
+
+
+def grow():
+    """Two entities doubling each other's content: never rests or repeats."""
+    return Cao(
+        "grow",
+        (Entity(0, "a", 1), Entity(1, "b", 1)),
+        (
+            Operator(RATIONAL, (Operand(0, 1),), (Image(1, 2),)),
+            Operator(RATIONAL, (Operand(1, 1),), (Image(0, 2),)),
         ),
     )
 
@@ -86,15 +106,7 @@ class TestRun:
         assert len(result.records) == 1
 
     def test_step_limit_on_growing_network(self):
-        cao = Cao(
-            "grow",
-            (Entity(0, "a", 1), Entity(1, "b", 1)),
-            (
-                Operator(RATIONAL, (Operand(0, 1),), (Image(1, 2),)),
-                Operator(RATIONAL, (Operand(1, 1),), (Image(0, 2),)),
-            ),
-        )
-        result = run(cao, max_steps=5)
+        result = run(grow(), max_steps=5)
         assert result.outcome.reason is StopReason.STEP_LIMIT
         assert result.outcome.steps == 5
         assert result.outcome.final_state == (32, 32)
@@ -155,6 +167,59 @@ class TestRun:
         assert result.outcome.reason is StopReason.CYCLE_DETECTED
         assert result.outcome.steps == 2
         assert [r.state for r in result.records] == [(1, 1 + tiny), (1 + tiny, 1), (1, 1 + tiny)]
+
+
+def collected(records):
+    """An ``iter_run`` generator's records and return value, by plain iteration."""
+    out = []
+    while True:
+        try:
+            out.append(next(records))
+        except StopIteration as stop:
+            return RunResult(stop.value, tuple(out))
+
+
+# One network per stop reason, each reaching it within 5 steps.
+STOPPING = {
+    StopReason.FIXED_POINT: build_ref7(),
+    StopReason.STEP_LIMIT: grow(),
+    StopReason.CYCLE_DETECTED: two_loop(1, 0),
+    StopReason.QMINUS_VIOLATION: build_signed_inflow(loss=-5),
+}
+
+
+class TestIterRun:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reason", list(StopReason), ids=lambda r: r.value)
+    def test_run_is_the_collected_stream(self, reason, backend):
+        cao = STOPPING[reason]
+        streamed = collected(iter_run(cao, 5, backend))
+        assert streamed.outcome.reason is reason
+        assert streamed == run(cao, 5, backend)
+        assert drain(iter_run(cao, 5, backend)) == streamed.outcome
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_samples_and_gate_corpus(self, backend):
+        samples = [parse(p.read_text(encoding="utf-8")).cao for p in sorted(SAMPLES.glob("*.sns"))]
+        for cao in samples:
+            assert collected(iter_run(cao, 50, backend)) == run(cao, 50, backend)
+        rng = random.Random(0xC40)  # the acceptance gate's criterion-4 corpus
+        for case in range(1000):
+            mode = Mode.Q_PLUS if case % 2 == 0 else Mode.Q_MINUS
+            cao = random_cao(rng, mode=mode, name=f"c{case}")
+            assert collected(iter_run(cao, 6, backend)) == run(cao, 6, backend)
+
+    def test_records_come_before_the_run_ends(self):
+        records = iter_run(grow(), max_steps=10**12)
+        first = [next(records) for _ in range(3)]
+        assert first == list(run(grow(), 3).records[:3])
+        records.close()
+
+    def test_bad_arguments_raise_when_first_advanced(self):
+        for args in ((build_ref7(), 5, "quantum"), (build_ref7(), -1)):
+            records = iter_run(*args)
+            with pytest.raises(ValueError):
+                next(records)
 
 
 class TestEquivalence:
@@ -391,6 +456,66 @@ class TestTraces:
         target = tmp_path / "trace.jsonl"
         write_trace(str(target), result.records, names)
         assert target.read_text(encoding="utf-8") == render_trace(result.records, names)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_write_trace_streams_a_run(self, tmp_path, fmt, backend):
+        for cao in STOPPING.values():
+            target = tmp_path / f"{cao.name}.{fmt}"
+            outcome = write_trace(str(target), iter_run(cao, 5, backend), cao.entity_names(), fmt)
+            result = run(cao, 5, backend)
+            assert outcome == result.outcome
+            assert target.read_text(encoding="utf-8") == render_trace(
+                result.records, cao.entity_names(), fmt
+            )
+
+    def test_a_run_that_raises_leaves_the_records_so_far(self, tmp_path):
+        # step 6's override cannot apply (see TestSchedules): steps 0-5 are written
+        cao = replace(retuned_ring(0), schedule={6: (Override(0, "radix", 2, Fr(2)),)})
+        target = tmp_path / "partial.jsonl"
+        with pytest.raises(ScheduleError):
+            write_trace(str(target), iter_run(cao, 10), cao.entity_names())
+        written = target.read_text(encoding="utf-8")
+        assert written == render_trace(islice(iter_run(cao, 10), 6), cao.entity_names())
+
+    def test_odd_names_render_as_the_json_and_csv_modules_do(self):
+        # the renderers encode each name once and join text; these are the
+        # bytes json.dumps and csv.writer give record by record
+        names = ("a,b", 'q"x', "new\nline", "\u00e9\t\\")
+        cao = Cao(
+            "odd",
+            tuple(Entity(i, name, i + 1) for i, name in enumerate(names)),
+            (Operator(RATIONAL, (Operand(0, 2), Operand(3, 3)), (Image(1, 1), Image(2, 1))),),
+        )
+        records = run(cao, 5).records
+
+        def named(slots, values):
+            return {names[e]: str(v) for e, v in zip(slots, values)}
+
+        lines = []
+        for rec in records:
+            obj = {"step": rec.step, "state": named(range(4), rec.state)}
+            if rec.common_carry is not None:
+                obj["common_carry"] = named(range(4), rec.common_carry)
+            if rec.firings:
+                obj["firings"] = [
+                    {
+                        "op": f.operator,
+                        "common": str(f.common),
+                        "remainders": named(f.operands, f.remainders),
+                        "transformants": named(f.images, f.transformants),
+                    }
+                    for f in rec.firings
+                ]
+            lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+        assert render_trace(records, names, "jsonl") == "".join(lines)
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["step", "entity", "cardinal"])
+        for rec in records:
+            writer.writerows([rec.step, name, str(value)] for name, value in zip(names, rec.state))
+        assert render_trace(records, names, "csv") == buf.getvalue()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
