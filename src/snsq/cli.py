@@ -8,14 +8,18 @@ Subcommands::
     snsq matrix FILE                   print the structural matrices and groups
     snsq check FILE --steps N          cross-check the two step backends
 
-Exit codes: 0 success; 1 the file failed to read, parse, or validate; 2 a
-step would drive a cardinal negative (qminus violation); 3 the two backends
-disagreed; 64 (``EX_USAGE``) a usage error, such as an unknown subcommand or
-a missing or negative step budget. Diagnostics and violation details go to
-stderr, results to stdout.
+Exit codes: 0 success; 1 the file failed to read, parse, or validate, or
+the trace could not be written; 2 a step would drive a cardinal negative
+(qminus violation); 3 the two backends disagreed; 64 (``EX_USAGE``) a usage
+error, such as an unknown subcommand or a missing or negative step budget.
+Diagnostics and violation details go to stderr, results to stdout.
 
 ``run`` and ``fixpoint`` keep no trajectory in memory: ``run --trace``
 writes each record to the file as the run makes it.
+
+A call builds only the subparser of the verb it names, since argparse set-up
+outweighs the stepping of a small network; help, no arguments, an unknown
+verb or an option before the verb build all five.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ def _load(path: str) -> tuple[Cao | None, int]:
     except OSError as err:
         print(f"snsq: cannot read {path}: {err.strerror}", file=sys.stderr)
         return None, 1
+    except UnicodeDecodeError as err:
+        reason = f"not UTF-8 text ({err.reason} at byte {err.start})"
+        print(f"snsq: cannot read {path}: {reason}", file=sys.stderr)
+        return None, 1
     result = dsl.parse(text)
     for diag in result.diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)
@@ -72,18 +80,18 @@ def _print_state(names: tuple[str, ...], state: tuple[Fraction, ...]) -> None:
         print(f"{name} = {format_rational(value)}")
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    _, status = _load(args.file)
-    return status
+def _cmd_validate(args: argparse.Namespace, cao: Cao) -> int:
+    return 0  # loading the file is the whole check
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cao, status = _load(args.file)
-    if cao is None:
-        return status
+def _cmd_run(args: argparse.Namespace, cao: Cao) -> int:
     records = runner.iter_run(cao, max_steps=args.steps, backend=args.backend)
     if args.trace:
-        outcome = runner.write_trace(args.trace, records, cao.entity_names(), args.format)
+        try:
+            outcome = runner.write_trace(args.trace, records, cao.entity_names(), args.format)
+        except OSError as err:
+            print(f"snsq: cannot write {args.trace}: {err.strerror}", file=sys.stderr)
+            return 1
     else:
         outcome = runner.drain(records)
     if outcome.reason is runner.StopReason.QMINUS_VIOLATION:
@@ -99,10 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fixpoint(args: argparse.Namespace) -> int:
-    cao, status = _load(args.file)
-    if cao is None:
-        return status
+def _cmd_fixpoint(args: argparse.Namespace, cao: Cao) -> int:
     outcome = runner.drain(runner.iter_run(cao, max_steps=args.max_steps, backend=args.backend))
     print(f"{outcome.reason.value} after {outcome.steps} steps")
     if outcome.reason is runner.StopReason.QMINUS_VIOLATION:
@@ -124,10 +129,7 @@ def _fmt_table(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]])
     return "\n".join(lines)
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    cao, status = _load(args.file)
-    if cao is None:
-        return status
+def _cmd_matrix(args: argparse.Namespace, cao: Cao) -> int:
     ops = matrix_engine.build_operators(cao)
     names = ops.names
 
@@ -162,10 +164,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    cao, status = _load(args.file)
-    if cao is None:
-        return status
+def _cmd_check(args: argparse.Namespace, cao: Cao) -> int:
     report = runner.check_equivalence(cao, args.steps)
     if report.equivalent:
         print(f"backends agree for {report.steps} steps")
@@ -183,43 +182,58 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+_BACKEND = ("--backend", {"choices": runner.BACKENDS, "default": "operator"})
+
+# (name, help, options, handler): every verb takes a FILE, then its options,
+# each a (flag, add_argument keywords) pair.
+_VERBS = (
+    ("validate", "parse a network file and check its structure", (), _cmd_validate),
+    ("run", "run a network and print the final state", (
+        ("--steps", {"type": _step_budget, "required": True, "help": "step budget"}),
+        _BACKEND,
+        ("--trace", {"metavar": "PATH", "help": "write the trajectory to PATH"}),
+        ("--format", {"choices": ("jsonl", "csv"), "default": "jsonl"}),
+    ), _cmd_run),
+    ("fixpoint", "run until the state settles, repeats, or hits the budget", (
+        ("--max-steps", {"type": _step_budget, "default": 1000}),
+        _BACKEND,
+    ), _cmd_fixpoint),
+    ("matrix", "print the structural matrices and carry groups", (), _cmd_matrix),
+    ("check", "run both backends in lockstep and compare", (
+        ("--steps", {"type": _step_budget, "required": True}),
+    ), _cmd_check),
+)
+# argparse's own metavar for all five; a one-verb parser's would name one
+_EVERY_VERB = "{" + ",".join(name for name, *_ in _VERBS) + "}"
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The snsq parser, with only the subparser that ``argv[0]`` names.
+
+    With no ``argv``, or one whose first word is no verb (help, no arguments,
+    an unknown verb, an option first), it holds all five. With one verb, the
+    top-level usage line still lists all five, as argparse would print it.
+    """
     parser = _Parser(
         prog="snsq",
         description="Exact-rational simulator for carry/convert operator networks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a network file and check its structure")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("run", help="run a network and print the final state")
-    p.add_argument("file")
-    p.add_argument("--steps", type=_step_budget, required=True, help="step budget")
-    p.add_argument("--backend", choices=runner.BACKENDS, default="operator")
-    p.add_argument("--trace", metavar="PATH", help="write the trajectory to PATH")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("fixpoint", help="run until the state settles, repeats, or hits the budget")
-    p.add_argument("file")
-    p.add_argument("--max-steps", type=_step_budget, default=1000)
-    p.add_argument("--backend", choices=runner.BACKENDS, default="operator")
-    p.set_defaults(func=_cmd_fixpoint)
-
-    p = sub.add_parser("matrix", help="print the structural matrices and carry groups")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("check", help="run both backends in lockstep and compare")
-    p.add_argument("file")
-    p.add_argument("--steps", type=_step_budget, required=True)
-    p.set_defaults(func=_cmd_check)
-
+    verbs = [verb for verb in _VERBS if argv and verb[0] == argv[0]] or _VERBS
+    sub = parser.add_subparsers(
+        dest="command", required=True, **({} if verbs is _VERBS else {"metavar": _EVERY_VERB})
+    )
+    for name, help_text, options, handler in verbs:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
+    cao, status = _load(args.file)
+    return status if cao is None else args.func(args, cao)

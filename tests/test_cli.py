@@ -1,5 +1,8 @@
+import argparse
+import errno
 import gc
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 
 from conftest import SAMPLES
 from snsq import runner
-from snsq.cli import main
+from snsq.cli import build_parser, main
 from snsq.dsl import parse
 from snsq.runner import EquivalenceReport
 
@@ -62,6 +65,14 @@ class TestValidate:
     def test_missing_file(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "nope.sns")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bytes.sns"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"snsq: cannot read {path}: not UTF-8 text (invalid start byte at byte 0)\n"
 
 
 class TestRun:
@@ -115,6 +126,17 @@ class TestRun:
         lines = trace.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "step,entity,cardinal"
         assert "3,cup,3" in lines
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_trace(self, capsys, tmp_path, where):
+        trace, code = {
+            "missing_dir": (tmp_path / "nonexistent" / "t.jsonl", errno.ENOENT),
+            "directory": (tmp_path, errno.EISDIR),
+        }[where]
+        assert main(["run", DRIP, "--steps", "3", "--trace", str(trace)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"snsq: cannot write {trace}: {os.strerror(code)}\n"
 
 
 LOOP = """\
@@ -341,6 +363,119 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"step budget must be non-negative, got {argv[-1]}" in captured.err
+
+
+# Each verb's argv, with every kind of usage error and both help forms; F is
+# a clean sample, M a file that does not exist.
+PINNED_ARGV = [
+    "validate -h", "run -h", "fixpoint -h", "matrix -h", "check -h", "-h", "--help",
+    "", "frobnicate", "RUN F --steps 3", "--steps 3 run F", "-- run F --steps 3",
+    "-x run F", "run F --steps 3 extra", "validate F F", "matrix F --steps 3",
+    "run F", "check F", "validate", "run F --steps 3 --backend gpu",
+    "run F --steps 3 --format xml", "fixpoint F --backend gpu", "run F --step 3",
+    "check F --step 2", "fixpoint F --max 4", "run F --steps=4", "check F --steps=4",
+    "run F --steps -1", "fixpoint F --max-steps -2", "check F --steps -3",
+    "run F --steps x", "run F --steps 3 --trace", "run F --steps 3 -h",
+    "validate M", "run M --steps 3", "check M --steps 2", "validate F",
+    "run F --steps 3", "run F --steps 3 --backend matrix", "fixpoint F",
+    "fixpoint F --max-steps 2 --backend matrix", "matrix F", "check F --steps 6",
+]
+
+SNSQ_HELP = """\
+usage: snsq [-h] {validate,run,fixpoint,matrix,check} ...
+
+Exact-rational simulator for carry/convert operator networks.
+
+positional arguments:
+  {validate,run,fixpoint,matrix,check}
+    validate            parse a network file and check its structure
+    run                 run a network and print the final state
+    fixpoint            run until the state settles, repeats, or hits the
+                        budget
+    matrix              print the structural matrices and carry groups
+    check               run both backends in lockstep and compare
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+RUN_HELP = """\
+usage: snsq run [-h] --steps STEPS [--backend {operator,matrix}]
+                [--trace PATH] [--format {jsonl,csv}]
+                file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --steps STEPS         step budget
+  --backend {operator,matrix}
+  --trace PATH          write the trajectory to PATH
+  --format {jsonl,csv}
+"""
+
+VERBS = ["validate", "run", "fixpoint", "matrix", "check"]
+
+
+def call(entry, argv, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call."""
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def verbs_of(parser: argparse.ArgumentParser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestParserText:
+    """A call builds only the subparser it names; what it prints must not tell."""
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("line", PINNED_ARGV)
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, tmp_path, line, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        paths = {"F": DRIP, "M": str(tmp_path / "missing.sns")}
+        argv = [paths.get(word, word) for word in line.split()]
+        one_verb = call(main, argv, capsys)
+        monkeypatch.setattr("snsq.cli.build_parser", lambda argv=None: build_parser())
+        assert one_verb == call(main, argv, capsys)  # main with all five verbs built
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["--help"], SNSQ_HELP), (["run", "--help"], RUN_HELP)],
+        ids=["snsq", "run"],
+    )
+    def test_help_text(self, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert call(main, argv, capsys) == (0, text, "")
+
+    def test_one_verb_is_built(self):
+        assert verbs_of(build_parser(["check", DRIP, "--steps", "1"])) == ["check"]
+        assert verbs_of(build_parser()) == VERBS
+        assert verbs_of(build_parser(["--help"])) == VERBS
+
+
+def test_module_entry_point_usage_error():
+    # main(None) reads sys.argv; the usage line still lists every verb
+    proc = subprocess.run(
+        [sys.executable, "-m", "snsq", "run", DRIP, "--steps", "3", "extra"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "usage: snsq [-h] {validate,run,fixpoint,matrix,check} ...\n"
+        "snsq: error: unrecognized arguments: extra\n"
+    )
 
 
 def test_module_entry_point():
