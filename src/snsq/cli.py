@@ -11,8 +11,9 @@ Subcommands::
 Exit codes: 0 success; 1 the file failed to read, parse, or validate, or
 the trace could not be written; 2 a step would drive a cardinal negative
 (qminus violation); 3 the two backends disagreed; 64 (``EX_USAGE``) a usage
-error, such as an unknown subcommand or a missing or negative step budget.
-Diagnostics and violation details go to stderr, results to stdout.
+error, such as an unknown subcommand or a missing or negative step budget;
+141 (128 + SIGPIPE) the reader closed stdout before the output was written,
+as ``snsq matrix FILE | head`` does, with nothing on stderr. Diagnostics and violation details go to stderr, results to stdout.
 
 ``run`` and ``fixpoint`` keep no trajectory in memory: ``run --trace``
 writes each record to the file as the run makes it.
@@ -25,6 +26,7 @@ verb or an option before the verb build all five.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from snsq.rationals import format_rational
 
 
 EX_USAGE = 64  # sysexits.h; 2 is the qminus violation's code
+EX_PIPE = 141  # a shell's status for a process that SIGPIPE ended
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,4 +239,16 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     cao, status = _load(args.file)
-    return status if cao is None else args.func(args, cao)
+    if cao is None:
+        return status
+    try:
+        status = args.func(args, cao)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python ignores SIGPIPE. Point stdout at devnull so that the flush
+        # at exit cannot fail again (the recipe in the signal module's docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_PIPE
+    return status

@@ -11,7 +11,9 @@ Stop conditions, in precedence order when several hold at once:
 * ``STEP_LIMIT`` — the budget is exhausted and the state is still moving;
 * ``CYCLE_DETECTED`` — the newly committed state equals an earlier one
   (exact tuple equality; a period-1 repeat is reported as a fixed point by
-  the rule above, never as a cycle).
+  the rule above, never as a cycle). The run keeps only each state's hash;
+  a repeated hash is confirmed, and the earlier step found, by replaying the
+  run from its initial state.
 
 ``iter_run`` yields the trajectory one record at a time: one record per
 executed step carrying the pre-step state, the per-entity common-carry
@@ -19,8 +21,8 @@ vector, and (operator backend only) the firings, plus a final state-only
 record — ``steps + 1`` records in all — and returns the ``RunOutcome``. It is
 the one run loop. ``run`` collects it into a ``RunResult``; the CLI streams
 it instead, keeping no records (``drain``) or writing each to the trace file
-as it is made (``write_trace``), so only the cycle set's states grow with
-the run.
+as it is made (``write_trace``), so only the cycle set grows with the run: one
+hash per visited state.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -110,15 +112,31 @@ def _stepper(cao: Cao, matrix: bool):
         yield take
 
 
+def _first_visit(cao: Cao, backend: str, state: State, k: int) -> int | None:
+    """The first step j < k at which the run is at ``state``, or None: the run
+    replayed from the initial state on ``backend``, emitting nothing."""
+    replayed = cao.initial_state()
+    for j, take in zip(range(k), _stepper(cao, backend == "matrix")):
+        if replayed == state:
+            return j
+        replayed = take(replayed, backend)[0]
+    return None
+
+
 def iter_run(
     cao: Cao, max_steps: int = 1000, backend: str = "operator"
 ) -> Generator[StepRecord, None, RunOutcome]:
     """Drive a network from its initial state for at most ``max_steps`` steps,
     yielding each record as it is made; the generator returns the outcome.
 
-    Only the cycle set's states stay behind, so a consumer that drops the
-    records (``drain``) runs in memory that does not grow with the records.
-    Bad arguments raise ValueError when the generator is first advanced.
+    Of each visited state only its hash stays behind, so a consumer that
+    drops the records (``drain``) holds one int per step, not the states.
+    A state whose hash was seen before is compared exactly against a replay of
+    the run (``_first_visit``): a cycle costs at most about twice its steps,
+    and a hash collision without a repeat replays the whole run so far. The
+    hashes of ints and Fractions are not randomised, so a network built to
+    collide is slow, never wrong. Bad arguments raise ValueError when the
+    generator is first advanced.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -126,7 +144,7 @@ def iter_run(
         raise ValueError("max_steps must be non-negative")
 
     state = cao.initial_state()
-    seen: dict[State, int] = {state: 0}
+    seen = {hash(state)}
     k = 0
     for take in _stepper(cao, backend == "matrix"):
         nxt, commons, firings, violation = take(state, backend)
@@ -139,9 +157,12 @@ def iter_run(
         else:
             yield StepRecord(k, state, commons, firings)
             state, k = nxt, k + 1
-            # one hash of the new state; k's int is shared with its record
-            first = seen.setdefault(state, k)
-            if first == k:
+            digest = hash(state)
+            if digest not in seen:
+                seen.add(digest)
+                continue
+            first = _first_visit(cao, backend, state, k)
+            if first is None:  # a hash collision, not a repeat
                 continue
             outcome = RunOutcome(StopReason.CYCLE_DETECTED, k, state, revisit_of=first)
         yield StepRecord(outcome.steps, state)

@@ -148,6 +148,18 @@ cao "loop" {
 }
 """
 
+# c drains into the a-b swap once, then the swap repeats from step 1
+TAIL = """\
+cao "tail" {
+    entity a = 2;
+    entity b = 0;
+    entity c = 1;
+    op (a:1) -> (b:1);
+    op (b:1) -> (a:1);
+    op (c:1) -> (a:1);
+}
+"""
+
 
 class TestStreamedTrace:
     """``run --trace`` writes records as the run makes them; the file holds
@@ -197,7 +209,7 @@ def traced_peak(fn) -> int:
 
 
 def test_run_keeps_no_records(capsys, tmp_path):
-    # the records of 1000 steps outweigh the cycle set's states about 3 to 1
+    # the records of 1000 steps outweigh a streamed run's peak about 15 to 1
     path = tmp_path / "decay.sns"
     path.write_text(decay_text(random.Random(6)), encoding="utf-8")
     cao = parse(path.read_text(encoding="utf-8")).cao
@@ -205,6 +217,24 @@ def test_run_keeps_no_records(capsys, tmp_path):
     streamed = traced_peak(lambda: main(["run", str(path), "--steps", "1000"]))
     assert capsys.readouterr().out.startswith("a = ")
     assert streamed < collected / 2, (streamed, collected)
+
+
+def test_run_keeps_no_states(capsys, tmp_path):
+    # the cycle test holds one hash per visited state, not the state
+    path = tmp_path / "decay.sns"
+    path.write_text(decay_text(random.Random(6)), encoding="utf-8")
+    cao = parse(path.read_text(encoding="utf-8")).cao
+    states = {record.state for record in runner.run(cao, 1000).records}
+    assert len(states) == 1001
+    held = sum(
+        sys.getsizeof(state)
+        + sum(sys.getsizeof(v) + sys.getsizeof(v.numerator) + sys.getsizeof(v.denominator) for v in state)
+        for state in states
+    )
+    del states
+    streamed = traced_peak(lambda: main(["run", str(path), "--steps", "1000"]))
+    assert capsys.readouterr().out.startswith("a = ")
+    assert streamed < held / 2, (streamed, held)
 
 
 class TestFixpoint:
@@ -221,6 +251,13 @@ class TestFixpoint:
         path.write_text(LOOP, encoding="utf-8")
         assert main(["fixpoint", str(path)]) == 0
         assert capsys.readouterr().out == "cycle_detected after 2 steps\n"
+
+    def test_cycle_after_a_transient(self, capsys, tmp_path):
+        path = tmp_path / "tail.sns"
+        path.write_text(TAIL, encoding="utf-8")
+        for backend in ("operator", "matrix"):
+            assert main(["fixpoint", str(path), "--backend", backend]) == 0
+            assert capsys.readouterr().out == "cycle_detected after 3 steps\n"
 
     def test_step_limit(self, capsys, tmp_path):
         path = tmp_path / "grow.sns"
@@ -487,3 +524,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "fixed_point after 3 steps\n"
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # 128 entities: the matrix tables (~350 KB) fill the pipe long before the
+    # reader closes it, so the write fails with EPIPE
+    names = [f"e{i}" for i in range(128)]
+    path = tmp_path / "chain.sns"
+    path.write_text(
+        'cao "chain" kind integer {\n'
+        + "".join(f"    entity {name} = {i % 7 + 1};\n" for i, name in enumerate(names))
+        + "".join(f"    op ({a}:2) -> ({b}:3);\n" for a, b in zip(names, names[1:] + names[:1]))
+        + "}\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "snsq", "matrix", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(13) == b"configuration"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

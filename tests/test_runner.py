@@ -10,7 +10,7 @@ import pytest
 
 from conftest import SAMPLES, REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
 from corpus import random_cao, wide_cao, wide_override
-from snsq import matrix_engine, model, op_engine
+from snsq import matrix_engine, model, op_engine, runner
 from snsq.dsl import parse
 from snsq.model import (
     Cao,
@@ -27,7 +27,9 @@ from snsq.model import (
 )
 from snsq.runner import (
     BACKENDS,
+    RunOutcome,
     RunResult,
+    StepRecord,
     StopReason,
     check_equivalence,
     drain,
@@ -64,6 +66,20 @@ def grow():
     )
 
 
+def transient_loop():
+    """c drains into the a-b swap once, then the swap repeats from step 1:
+    (2,0,1) (1,2,0) (2,1,0) (1,2,0)."""
+    return Cao(
+        "tail",
+        (Entity(0, "a", 2), Entity(1, "b", 0), Entity(2, "c", 1)),
+        (
+            Operator(RATIONAL, (Operand(0, 1),), (Image(1, 1),)),
+            Operator(RATIONAL, (Operand(1, 1),), (Image(0, 1),)),
+            Operator(RATIONAL, (Operand(2, 1),), (Image(0, 1),)),
+        ),
+    )
+
+
 class TestRun:
     @pytest.mark.parametrize("backend", ["operator", "matrix"])
     def test_ref7_reaches_its_fixed_point(self, backend):
@@ -96,6 +112,30 @@ class TestRun:
         assert outcome.revisit_of == 0
         assert outcome.final_state == (1, 0)
         assert [r.state for r in result.records] == [(1, 0), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cycle_after_a_transient(self, backend):
+        result = run(transient_loop(), max_steps=50, backend=backend)
+        outcome = result.outcome
+        assert outcome.reason is StopReason.CYCLE_DETECTED
+        assert outcome.steps == 3
+        assert outcome.revisit_of == 1
+        assert outcome.final_state == (1, 2, 0)
+        assert [r.state for r in result.records] == [(2, 0, 1), (1, 2, 0), (2, 1, 0), (1, 2, 0)]
+
+    def test_a_cycle_replays_up_to_its_first_visit(self, monkeypatch):
+        # three steps of the run, then one of the replay: it stops at step 1
+        calls = 0
+        real_step = op_engine.step
+
+        def counting_step(*args):
+            nonlocal calls
+            calls += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(op_engine, "step", counting_step)
+        assert run(transient_loop(), max_steps=50).outcome.revisit_of == 1
+        assert calls == 4
 
     def test_period_one_repeat_is_a_fixed_point_not_a_cycle(self):
         # (1,1) swaps into itself; one extra step changes nothing, so the
@@ -220,6 +260,128 @@ class TestIterRun:
             records = iter_run(*args)
             with pytest.raises(ValueError):
                 next(records)
+
+
+def dict_run(cao, max_steps, backend):
+    """The run with every state kept in a dict, keyed by the state itself: a
+    reference for ``iter_run``'s cycle rule, on the same stepping core."""
+    records = []
+    state = cao.initial_state()
+    seen = {state: 0}
+    for k, take in enumerate(runner._stepper(cao, backend == "matrix")):
+        nxt, commons, firings, violation = take(state, backend)
+        if violation is not None:
+            outcome = RunOutcome(StopReason.QMINUS_VIOLATION, k, state, violation=violation)
+        elif nxt == state:
+            outcome = RunOutcome(StopReason.FIXED_POINT, k, state)
+        elif k == max_steps:
+            outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
+        else:
+            records.append(StepRecord(k, state, commons, firings))
+            state = nxt
+            if state not in seen:
+                seen[state] = k + 1
+                continue
+            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, state, revisit_of=seen[state])
+        records.append(StepRecord(outcome.steps, state))
+        return RunResult(outcome, tuple(records))
+
+
+def cycling_cao(rng, max_ring=6, max_tail=6, name="ring"):
+    """A random permutation ring with draining tails.
+
+    The ring entities split into loops of two or more, each passing its whole
+    content on (radix equal to coefficient). The tails form a chain into the
+    ring, each also draining into one more earlier entity at random, so they
+    empty within ``max_tail`` steps and the ring then repeats, unless floor
+    carries leave it at rest. Some networks switch a ring operator off and on
+    again, or retune a tail, in the first few steps only.
+    """
+    kind = rng.choice((RATIONAL, CarryKind.INTEGER_FLOOR))
+    integer = kind is CarryKind.INTEGER_FLOOR
+
+    def value(hi):
+        return Fr(rng.randint(0, hi)) if integer else Fr(rng.randint(0, hi), rng.randint(1, 9))
+
+    ring = list(range(rng.randint(2, max_ring)))
+    tails = list(range(len(ring), len(ring) + rng.randint(0, max_tail)))
+    entities = tuple(Entity(e, f"e{e}", value(30)) for e in ring + tails)
+    operators = []
+    rng.shuffle(ring)
+    loops = []
+    while ring:
+        size = rng.randint(2, max(2, len(ring)))
+        loops.append(ring[:size])
+        ring = ring[size:]
+    if len(loops[-1]) == 1:
+        loops[-2].extend(loops.pop())
+    for loop in loops:
+        for e, nxt in zip(loop, loop[1:] + loop[:1]):
+            radix = Fr(rng.choice((1, 2, 3))) if integer else rng.choice((Fr(1), Fr(2), Fr(3, 2)))
+            operators.append(Operator(kind, (Operand(e, radix),), (Image(nxt, radix),)))
+    ring_ops = len(operators)
+    for t in tails:
+        targets = {t - 1, rng.randrange(t)}
+        images = tuple(Image(e, Fr(rng.randint(1, 4))) for e in sorted(targets))
+        operators.append(Operator(kind, (Operand(t, 1),), images))
+    schedule = {}
+    if rng.random() < 0.4:
+        op = rng.randrange(ring_ops)
+        start = rng.randint(0, 2)
+        schedule = {
+            start: (Override(op, "enabled", None, False),),
+            start + rng.randint(1, 3): (Override(op, "enabled", None, True),),
+        }
+        if tails and rng.random() < 0.5:
+            tail_op = rng.randrange(ring_ops, len(operators))
+            image = operators[tail_op].images[0].entity
+            schedule.setdefault(1, ())
+            schedule[1] += (Override(tail_op, "coeff", image, Fr(rng.randint(1, 5))),)
+    cao = Cao(name, entities, tuple(operators), schedule=schedule)
+    assert not validate_cao(cao), validate_cao(cao)
+    return cao
+
+
+def cycling_networks(count, seed, **sizes):
+    rng = random.Random(seed)
+    cases = [two_loop(1, 0), transient_loop(), two_loop(1, 1 + Fr(1, 10**40))]
+    return cases + [cycling_cao(rng, **sizes, name=f"ring{case}") for case in range(count)]
+
+
+def cycles_matching_the_dict_rule(networks, steps, backend):
+    """Assert that every run equals ``dict_run``'s; return how many cycled."""
+    cycles = 0
+    for cao in networks:
+        result = run(cao, steps, backend)
+        assert result == dict_run(cao, steps, backend), cao
+        cycles += result.outcome.reason is StopReason.CYCLE_DETECTED
+    return cycles
+
+
+class TestCycleRule:
+    """``iter_run`` holds one hash per state and confirms a repeated hash by an
+    exact replay; its outcomes and records are those of a run that keeps every
+    state. The gate's corpus never cycles; these networks are built to."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_the_dict_rule(self, backend):
+        networks = cycling_networks(60, 0xC7C)
+        assert cycles_matching_the_dict_rule(networks, 60, backend) >= 45
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_the_dict_rule_when_every_hash_collides(self, backend, monkeypatch):
+        # every committed state is a hit: the replay runs on every step, and
+        # finds nothing (the collision branch) until the state really repeats
+        monkeypatch.setattr(runner, "hash", lambda state: 0, raising=False)
+        networks = cycling_networks(60, 0xC7C)
+        assert cycles_matching_the_dict_rule(networks, 60, backend) >= 45
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_the_dict_rule_at_scale(self, backend, monkeypatch):
+        monkeypatch.setattr(runner, "hash", lambda state: 0, raising=False)
+        networks = cycling_networks(300, 0x5CA1E, max_ring=10, max_tail=24)
+        assert cycles_matching_the_dict_rule(networks, 200, backend) >= 250
 
 
 class TestEquivalence:
