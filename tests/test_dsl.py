@@ -243,6 +243,143 @@ class TestDiagnostics:
         assert str(d) == "3:5: error: msg"
 
 
+
+def _body(line):
+    """A network whose fourth line is ``line``; its fifth names an unknown
+    entity, so its diagnostic shows where parsing resumed."""
+    return f'cao "t" {{\n  entity a, b = 1;\n  op (a:2) -> (b:1);\n  {line}\n  op (b:1) -> (zz:1);\n}}\n'
+
+
+def _err(message, line, column, length, expected=None):
+    return Diagnostic("error", message, Span(line, column, length), expected)
+
+
+NEXT = _err("unknown entity 'zz'", 5, 16, 2)  # the fifth line of _body, parsed after recovery
+
+# One malformed statement per place the parser gives up on a statement and
+# resumes at the next ';' or '}', with every diagnostic it reports.
+RECOVERY_CASES = [
+    ("header-missing-brace", 'cao "t"\n  entity a, b = 1;\n  op (a:2) -> (b:1);\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected '{', found 'entity'", 2, 3, 6, ("{",)),
+        _err("unknown entity 'a'", 3, 7, 1),
+        _err("unknown entity 'b'", 3, 16, 1),
+        _err("unknown entity 'b'", 4, 7, 1),
+        _err("unknown entity 'zz'", 4, 16, 2),
+    ]),
+    ("body-stray-statement", _body("foo = 1;"), [
+        _err("expected 'entity', 'op', 'at', or '}', found 'foo'", 4, 3, 3, ("entity", "op", "at", "}")),
+        NEXT,
+    ]),
+    ("entity-missing-name", _body("entity = 1;"), [
+        _err("expected an entity name, found '='", 4, 10, 1, ("an entity name",)), NEXT,
+    ]),
+    ("entity-missing-name-after-comma", _body("entity c, = 1;"), [
+        _err("expected an entity name, found '='", 4, 13, 1, ("an entity name",)), NEXT,
+    ]),
+    ("entity-missing-equals", _body("entity c 1;"), [_err("expected '=', found '1'", 4, 12, 1, ("=",)), NEXT]),
+    ("entity-missing-value", _body("entity c = ;"), [
+        _err("expected a rational value, found ';'", 4, 14, 1, ("NUMBER",)), NEXT,
+    ]),
+    ("entity-missing-semicolon", _body("entity a = 1"), [  # the entity still counts: a duplicate
+        _err("duplicate entity name 'a'", 4, 10, 1),
+        _err("expected ';', found 'op'", 5, 3, 2, (";",)),
+    ]),
+    ("op-missing-open-paren", _body("op a:2) -> (b:1);"), [_err("expected '(', found 'a'", 4, 6, 1, ("(",)), NEXT]),
+    ("operand-missing-name", _body("op (:2) -> (b:1);"), [
+        _err("expected an operand name, found ':'", 4, 7, 1, ("an operand name",)), NEXT,
+    ]),
+    ("operand-missing-colon", _body("op (a 2) -> (b:1);"), [_err("expected ':', found '2'", 4, 9, 1, (":",)), NEXT]),
+    ("operand-missing-radix", _body("op (a:) -> (b:1);"), [
+        _err("expected a rational value, found ')'", 4, 9, 1, ("NUMBER",)), NEXT,
+    ]),
+    ("operand-missing-close-paren", _body("op (a:2 -> (b:1);"), [
+        _err("expected ')', found '->'", 4, 11, 2, (")",)), NEXT,
+    ]),
+    ("op-missing-arrow", _body("op (a:2) (b:1);"), [_err("expected '->', found '('", 4, 12, 1, ("ARROW",)), NEXT]),
+    ("op-missing-image-paren", _body("op (a:2) -> b:1);"), [_err("expected '(', found 'b'", 4, 15, 1, ("(",)), NEXT]),
+    ("image-missing-name", _body("op (a:2) -> (:1);"), [
+        _err("expected an image name, found ':'", 4, 16, 1, ("an image name",)), NEXT,
+    ]),
+    ("image-missing-colon", _body("op (a:2) -> (b 1);"), [_err("expected ':', found '1'", 4, 18, 1, (":",)), NEXT]),
+    ("image-missing-coefficient", _body("op (a:2) -> (b:);"), [
+        _err("expected a rational value, found ')'", 4, 18, 1, ("NUMBER",)), NEXT,
+    ]),
+    ("image-missing-close-paren", _body("op (a:2) -> (b:1;"), [_err("expected ')', found ';'", 4, 19, 1, (")",)), NEXT]),
+    ("op-missing-semicolon", _body("op (a:2) -> (b:1)"), [_err("expected ';', found 'op'", 5, 3, 2, (";",))]),
+    ("at-missing-step", _body("at { op 0 enabled = false; op 0 radix zz = 1; }"), [
+        _err("expected a step index, found '{'", 4, 6, 1, ("NUMBER",)),
+        _err("expected '(', found '0'", 4, 33, 1, ("(",)),
+        _err("unexpected text after the closing '}'", 5, 3, 2),
+    ]),
+    ("at-missing-brace", _body("at 1 op 0 enabled = false; op 0 radix zz = 1; }"), [
+        _err("expected '{', found 'op'", 4, 8, 2, ("{",)),
+        _err("expected '(', found '0'", 4, 33, 1, ("(",)),
+        _err("unexpected text after the closing '}'", 5, 3, 2),
+    ]),
+    ("schedule-stray-statement", _body("at 1 { entity c = 1; op 0 radix zz = 1; }"), [
+        _err("expected 'op' or '}' in a schedule block, found 'entity'", 4, 10, 6, ("op", "}")),
+        _err("unknown entity 'zz'", 4, 35, 2),
+        NEXT,
+    ]),
+    ("override-missing-index", _body("at 1 { op enabled = false; op 0 radix zz = 1; }"), [
+        _err("expected an operator index, found 'enabled'", 4, 13, 7, ("NUMBER",)),
+        _err("unknown entity 'zz'", 4, 41, 2),
+        NEXT,
+    ]),
+    ("override-missing-name", _body("at 1 { op 0 radix = 2; op 0 radix zz = 1; }"), [
+        _err("expected an entity name, found '='", 4, 21, 1, ("an entity name",)),
+        _err("unknown entity 'zz'", 4, 37, 2),
+        NEXT,
+    ]),
+    ("override-missing-equals", _body("at 1 { op 0 radix a 2; op 0 radix zz = 1; }"), [
+        _err("expected '=', found '2'", 4, 23, 1, ("=",)),
+        _err("unknown entity 'zz'", 4, 37, 2),
+        NEXT,
+    ]),
+    ("override-missing-value", _body("at 1 { op 0 coeff b = ; op 0 radix zz = 1; }"), [
+        _err("expected a rational value, found ';'", 4, 25, 1, ("NUMBER",)),
+        _err("unknown entity 'zz'", 4, 38, 2),
+        NEXT,
+    ]),
+    ("override-value-missing-semicolon", _body("at 1 { op 0 radix zz = 3 op 0 enabled = true; }"), [
+        _err("unknown entity 'zz'", 4, 21, 2),  # the override still counts: its name is resolved
+        _err("expected ';', found 'op'", 4, 28, 2, (";",)),
+        NEXT,
+    ]),
+    ("enabled-missing-equals", _body("at 1 { op 0 enabled false; op 0 radix zz = 1; }"), [
+        _err("expected '=', found 'false'", 4, 23, 5, ("=",)),
+        _err("unknown entity 'zz'", 4, 41, 2),
+        NEXT,
+    ]),
+    ("enabled-bad-flag", _body("at 1 { op 0 enabled = maybe; op 0 radix zz = 1; }"), [
+        _err("expected 'true' or 'false', found 'maybe'", 4, 25, 5, ("true", "false")),
+        _err("unknown entity 'zz'", 4, 43, 2),
+        NEXT,
+    ]),
+    ("enabled-missing-semicolon", _body("at 1 { op 0 enabled = false op 0 radix zz = 1; }"), [
+        _err("expected ';', found 'op'", 4, 31, 2, (";",)),
+        NEXT,
+    ]),
+    ("override-bad-field", _body("at 1 { op 0 speed a = 1; op 0 radix zz = 1; }"), [
+        _err("expected 'radix', 'coeff', or 'enabled', found 'speed'", 4, 15, 5, ("radix", "coeff", "enabled")),
+        _err("unknown entity 'zz'", 4, 39, 2),
+        NEXT,
+    ]),
+]
+
+
+class TestRecoveryPaths:
+    """Every way a statement can fail, pinned to its exact diagnostics."""
+
+    @pytest.mark.parametrize(
+        "text, expected", [pytest.param(t, d, id=i) for i, t, d in RECOVERY_CASES]
+    )
+    def test_diagnostics_are_pinned(self, text, expected):
+        result = parse(text)
+        assert result.diagnostics == tuple(expected)
+        assert result.cao is None
+
+
 class TestLexing:
     """Edge cases of how text splits into tokens, pinned to exact spans."""
 
