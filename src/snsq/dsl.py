@@ -21,11 +21,13 @@ point at are kept. Columns count characters, so a tab is one column.
 
 Parsing is total: any input, including binary garbage, yields a
 :class:`ParseResult` whose diagnostics carry 1-based line/column spans.
-After an error the parser skips to the next ``;`` or ``}`` and resumes, so
-one run reports every problem it can reach. Structural rule violations
-(duplicate operands, negative coefficients outside qminus, ...) are checked
-once the file is syntactically clean and reported through the same
-diagnostic channel, pointed at the offending token.
+A statement is abandoned at its first syntax error, and one statement loop,
+shared by the body and the schedule blocks, skips to the next ``;`` or ``}``
+and resumes, so one run reports every problem it can reach. A missing ``;``
+is reported and skipped to, but its statement still counts. Structural rule
+violations (duplicate operands, negative coefficients outside qminus, ...)
+are checked once the file is syntactically clean and reported through the
+same diagnostic channel, pointed at the offending token.
 
 :func:`serialize` renders a network in a fixed canonical layout; parsing it
 back reproduces the network exactly.
@@ -34,7 +36,7 @@ back reproduces the network exactly.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -284,6 +286,10 @@ class _Builder:
         return Span(1, 1, 1)
 
 
+class _SkipStatement(Exception):
+    """A statement failed and its diagnostic is reported: abandon it."""
+
+
 class _Parser:
     """Recursive descent over a token stream. The grammar is LL(1): every
     decision reads ``cur`` alone, so tokens are pulled one at a time."""
@@ -309,22 +315,38 @@ class _Parser:
     def _found(self) -> str:
         return "end of input" if self.cur.type == "EOF" else repr(self.cur.text)
 
-    def expect(self, ttype: str, text: str | None = None, what: str | None = None) -> _Token | None:
+    def missing(self, what: str, expected: str) -> None:
+        self.error(f"expected {what}, found {self._found()}", expected=(expected,))
+
+    def expect(self, ttype: str, what: str, text: str | None = None) -> _Token | None:
+        """Consume the wanted token, or report it missing and return None."""
         if self.at(ttype, text):
             return self.advance()
-        want = what or repr(text or ttype)
-        self.error(f"expected {want}, found {self._found()}", expected=(text or ttype,))
+        self.missing(what, text or ttype)
         return None
 
-    def expect_name(self, what: str) -> _Token | None:
+    def need(self, ttype: str, what: str) -> _Token:
+        """Consume a token the statement cannot do without, or abandon the statement."""
+        if self.cur.type == ttype:
+            return self.advance()
+        self.missing(what, ttype)
+        raise _SkipStatement
+
+    def need_name(self, what: str) -> _Token:
         if self.at("NAME"):
             return self.advance()
         if self.at("KEYWORD"):
             tok = self.cur
             self.error(f"keyword '{tok.text}' cannot be used as {what}", tok.span)
             return self.advance()
-        self.error(f"expected {what}, found {self._found()}", expected=(what,))
-        return None
+        self.missing(what, what)
+        raise _SkipStatement
+
+    def unexpected(self, choices: tuple[str, ...], where: str = "") -> None:
+        """Report that none of ``choices`` comes next."""
+        *rest, last = map(repr, choices)
+        listed = f"{', '.join(rest)}, or {last}" if len(rest) > 1 else f"{rest[0]} or {last}"
+        self.error(f"expected {listed}{where}, found {self._found()}", expected=choices)
 
     def recover(self) -> None:
         """Skip ahead to the next ';' (consumed) or '}' (left in place)."""
@@ -336,13 +358,33 @@ class _Parser:
                 return
             self.advance()
 
+    def end_statement(self) -> None:
+        """A missing ';' is reported and skipped to, but the statement stands."""
+        if self.expect(";", "';'") is None:
+            self.recover()
+
+    def statements(self, parsers: dict[str, Callable[..., None]], where: str, *args: object) -> None:
+        """Statements through the block's closing '}', each begun by a keyword
+        in ``parsers``. The one recovery point: a failed statement is
+        abandoned at the next ';' or '}'."""
+        while not self.at("}") and not self.at("EOF"):
+            t = self.cur
+            try:
+                if t.type != "KEYWORD" or t.text not in parsers:
+                    self.unexpected((*parsers, "}"), where)
+                    raise _SkipStatement
+                parsers[t.text](*args)
+            except _SkipStatement:
+                self.recover()
+        self.expect("}", "'}'")
+
     # --- grammar -----------------------------------------------------------
 
     def parse_cao(self) -> _Builder | None:
-        if self.expect("KEYWORD", "cao", "'cao'") is None:
+        if self.expect("KEYWORD", "'cao'", "cao") is None:
             return None
         b = _Builder()
-        name_tok = self.expect("STRING", what="a quoted network name")
+        name_tok = self.expect("STRING", "a quoted network name")
         if name_tok is not None:
             b.name = str(name_tok.value)
         if self.at("KEYWORD", "mode"):
@@ -350,63 +392,29 @@ class _Parser:
             if self.at("KEYWORD", "qplus") or self.at("KEYWORD", "qminus"):
                 b.mode = Mode(self.advance().text)
             else:
-                self.error(
-                    f"expected 'qplus' or 'qminus' after 'mode', found {self._found()}",
-                    expected=("qplus", "qminus"),
-                )
+                self.unexpected(("qplus", "qminus"), " after 'mode'")
         if self.at("KEYWORD", "kind"):
             self.advance()
             if self.at("KEYWORD", "rational") or self.at("KEYWORD", "integer"):
                 b.default_kind = CarryKind(self.advance().text)
             else:
-                self.error(
-                    f"expected 'rational' or 'integer' after 'kind', found {self._found()}",
-                    expected=("rational", "integer"),
-                )
-        if self.expect("{", what="'{'") is None:
+                self.unexpected(("rational", "integer"), " after 'kind'")
+        if self.expect("{", "'{'") is None:
             self.recover()
-        while not self.at("}") and not self.at("EOF"):
-            if self.at("KEYWORD", "entity"):
-                self.parse_entity(b)
-            elif self.at("KEYWORD", "op"):
-                self.parse_op(b)
-            elif self.at("KEYWORD", "at"):
-                self.parse_at(b)
-            else:
-                self.error(
-                    f"expected 'entity', 'op', 'at', or '}}', found {self._found()}",
-                    expected=("entity", "op", "at", "}"),
-                )
-                self.recover()
-        self.expect("}", what="'}'")
+        self.statements({"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}, "", b)
         if not self.at("EOF"):
             self.error("unexpected text after the closing '}'")
         return b
 
     def parse_entity(self, b: _Builder) -> None:
         self.advance()  # entity
-        names: list[_Token] = []
-        tok = self.expect_name("an entity name")
-        if tok is None:
-            self.recover()
-            return
-        names.append(tok)
+        names = [self.need_name("an entity name")]
         while self.at(","):
             self.advance()
-            tok = self.expect_name("an entity name")
-            if tok is None:
-                self.recover()
-                return
-            names.append(tok)
-        if self.expect("=", what="'='") is None:
-            self.recover()
-            return
-        num = self.expect("NUMBER", what="a rational value")
-        if num is None:
-            self.recover()
-            return
-        if self.expect(";", what="';'") is None:
-            self.recover()
+            names.append(self.need_name("an entity name"))
+        self.need("=", "'='")
+        num = self.need("NUMBER", "a rational value")
+        self.end_statement()
         for tok in names:
             dup = b.add_entity(tok, num)
             if dup is not None:
@@ -420,88 +428,49 @@ class _Parser:
 
     def parse_pairs(
         self, b: _Builder, what: str
-    ) -> tuple[list[tuple[int | None, Fraction]], list[tuple[_Token, _Token]], bool]:
-        """``NAME : NUMBER`` pairs separated by commas, through the closing ')'."""
+    ) -> tuple[list[tuple[int | None, Fraction]], list[tuple[_Token, _Token]]]:
+        """``( NAME : NUMBER, ... )``: the pairs, and the tokens of each."""
+        self.need("(", "'('")
         pairs: list[tuple[int | None, Fraction]] = []
         toks: list[tuple[_Token, _Token]] = []
         while True:
-            name_tok = self.expect_name(f"an {what} name")
-            if name_tok is None:
-                return pairs, toks, False
-            if self.expect(":", what="':'") is None:
-                return pairs, toks, False
-            num = self.expect("NUMBER", what="a rational value")
-            if num is None:
-                return pairs, toks, False
+            name_tok = self.need_name(f"an {what} name")
+            self.need(":", "':'")
+            num = self.need("NUMBER", "a rational value")
             pairs.append((self._resolve(b, name_tok), num.value))
             toks.append((name_tok, num))
-            if self.at(","):
-                self.advance()
-                continue
-            break
-        if self.expect(")", what="')'") is None:
-            return pairs, toks, False
-        return pairs, toks, True
+            if not self.at(","):
+                break
+            self.advance()
+        self.need(")", "')'")
+        return pairs, toks
 
     def parse_op(self, b: _Builder) -> None:
         kw = self.advance()  # op
         kind = b.default_kind
         if self.at("KEYWORD", "rational") or self.at("KEYWORD", "integer"):
             kind = CarryKind(self.advance().text)
-        if self.expect("(", what="'('") is None:
-            self.recover()
-            return
-        operands, otoks, ok = self.parse_pairs(b, "operand")
-        if not ok:
-            self.recover()
-            return
-        if self.expect("ARROW", what="'->'") is None:
-            self.recover()
-            return
-        if self.expect("(", what="'('") is None:
-            self.recover()
-            return
-        images, itoks, ok = self.parse_pairs(b, "image")
-        if not ok:
-            self.recover()
-            return
-        if self.expect(";", what="';'") is None:
-            self.recover()
+        operands, otoks = self.parse_pairs(b, "operand")
+        self.need("ARROW", "'->'")
+        images, itoks = self.parse_pairs(b, "image")
+        self.end_statement()
         b.add_operator(kw, kind, operands, otoks, images, itoks)
 
     def parse_at(self, b: _Builder) -> None:
         self.advance()  # at
-        num = self.expect("NUMBER", what="a step index")
-        if num is None:
-            self.recover()
-            return
-        step_value = num.value
-        if step_value.denominator != 1:
+        num = self.need("NUMBER", "a step index")
+        if num.value.denominator != 1:
             self.error("step index must be an integer", num.span)
             step = 0
         else:
-            step = int(step_value)
+            step = int(num.value)
         b.step_tokens.setdefault(step, num)
-        if self.expect("{", what="'{'") is None:
-            self.recover()
-            return
-        while not self.at("}") and not self.at("EOF"):
-            if self.at("KEYWORD", "op"):
-                self.parse_override(b, step)
-            else:
-                self.error(
-                    f"expected 'op' or '}}' in a schedule block, found {self._found()}",
-                    expected=("op", "}"),
-                )
-                self.recover()
-        self.expect("}", what="'}'")
+        self.need("{", "'{'")
+        self.statements({"op": self.parse_override}, " in a schedule block", b, step)
 
     def parse_override(self, b: _Builder, step: int) -> None:
         self.advance()  # op
-        idx_tok = self.expect("NUMBER", what="an operator index")
-        if idx_tok is None:
-            self.recover()
-            return
+        idx_tok = self.need("NUMBER", "an operator index")
         if idx_tok.value.denominator != 1 or idx_tok.value < 0:
             self.error("operator index must be a non-negative integer", idx_tok.span)
             opidx = 0
@@ -509,19 +478,10 @@ class _Parser:
             opidx = int(idx_tok.value)
         if self.at("KEYWORD", "radix") or self.at("KEYWORD", "coeff"):
             field_tok = self.advance()
-            name_tok = self.expect_name("an entity name")
-            if name_tok is None:
-                self.recover()
-                return
-            if self.expect("=", what="'='") is None:
-                self.recover()
-                return
-            num = self.expect("NUMBER", what="a rational value")
-            if num is None:
-                self.recover()
-                return
-            if self.expect(";", what="';'") is None:
-                self.recover()
+            name_tok = self.need_name("an entity name")
+            self.need("=", "'='")
+            num = self.need("NUMBER", "a rational value")
+            self.end_statement()
             ent = self._resolve(b, name_tok)
             if ent is not None:
                 b.add_override(
@@ -533,20 +493,12 @@ class _Parser:
                 )
         elif self.at("KEYWORD", "enabled"):
             self.advance()
-            if self.expect("=", what="'='") is None:
-                self.recover()
-                return
-            if self.at("KEYWORD", "true") or self.at("KEYWORD", "false"):
-                val_tok = self.advance()
-            else:
-                self.error(
-                    f"expected 'true' or 'false', found {self._found()}",
-                    expected=("true", "false"),
-                )
-                self.recover()
-                return
-            if self.expect(";", what="';'") is None:
-                self.recover()
+            self.need("=", "'='")
+            if not (self.at("KEYWORD", "true") or self.at("KEYWORD", "false")):
+                self.unexpected(("true", "false"))
+                raise _SkipStatement
+            val_tok = self.advance()
+            self.end_statement()
             b.add_override(
                 step,
                 Override(opidx, "enabled", None, val_tok.text == "true"),
@@ -555,11 +507,8 @@ class _Parser:
                 val_tok,
             )
         else:
-            self.error(
-                f"expected 'radix', 'coeff', or 'enabled', found {self._found()}",
-                expected=("radix", "coeff", "enabled"),
-            )
-            self.recover()
+            self.unexpected(("radix", "coeff", "enabled"))
+            raise _SkipStatement
 
 
 def parse(text: str) -> ParseResult:

@@ -201,12 +201,6 @@ class Cao:
     def entity_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entities)
 
-    def index_of(self, name: str) -> int:
-        for ent in self.entities:
-            if ent.name == name:
-                return ent.index
-        raise KeyError(name)
-
     def initial_state(self) -> tuple[Fraction, ...]:
         return tuple(e.initial for e in self.entities)
 
@@ -477,9 +471,6 @@ class ConfigurationMatrix:
     @property
     def size(self) -> int:
         return len(self.names)
-
-    def radix(self, entity: int) -> Fraction:
-        return self.cells[entity][entity]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 import random
+import re
 import sys
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLES, build_ref7, build_signed_inflow
@@ -508,13 +509,71 @@ class TestSerialization:
             serialize(disabled)
 
 
+SAMPLE_TEXTS = tuple(path.read_text(encoding="utf-8") for path in sorted(SAMPLES.glob("*.sns")))
+
+# Pieces of the grammar to drop into well-formed text, so the parser meets
+# errors deep inside statements and schedule blocks, not only in the header.
+PIECES = (
+    ";", "}", "{", "(", ")", ",", ":", "=", "->", "op", "at", "entity", "radix",
+    "coeff", "enabled", "true", "1/0", "-1", "7", "a", '"', "#", "\n",
+)
+
+
+@st.composite
+def mutated_networks(draw):
+    """A sample file or a serialized random network with a schedule, given
+    one to four edits: a dropped token, a deleted slice, an inserted grammar
+    piece, or two slices swapped."""
+    text = draw(
+        st.one_of(
+            st.sampled_from(SAMPLE_TEXTS),
+            st.integers(0, 2**32 - 1).map(
+                lambda seed: serialize(random_cao(random.Random(seed), with_schedule=True))
+            ),
+        )
+    )
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("drop", "delete", "insert", "swap")))
+        if edit == "drop":
+            tokens = [m.span() for m in re.finditer(r"->|[\w/-]+|\S", text)]
+            i, j = draw(st.sampled_from(tokens))
+            text = text[:i] + text[j:]
+            continue
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        if edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "insert":
+            text = text[:i] + draw(st.sampled_from(PIECES)) + text[i:]
+        else:
+            k = draw(st.integers(j, len(text)))
+            end = draw(st.integers(k, min(len(text), k + 12)))
+            text = text[:i] + text[k:end] + text[j:k] + text[i:j] + text[end:]
+    return text
+
+
+def assert_total(result):
+    assert (result.cao is None) == bool(result.errors)
+    positions = [(d.span.line, d.span.column) for d in result.diagnostics]
+    assert positions == sorted(positions)
+
+
 class TestTotality:
     @given(st.text())
     def test_arbitrary_text_never_crashes(self, text):
-        result = parse(text)
-        assert (result.cao is None) == bool(result.errors)
+        assert_total(parse(text))
 
     @given(st.text(alphabet='cao entiyp{}();:=->#"0123456789/ \n-,', max_size=200))
     def test_near_miss_text_never_crashes(self, text):
-        result = parse(text)
-        assert (result.cao is None) == bool(result.errors)
+        assert_total(parse(text))
+
+    @settings(derandomize=True, max_examples=150)
+    @given(mutated_networks())
+    def test_mutated_networks_never_crash(self, text):
+        assert_total(parse(text))
+
+    @pytest.mark.slow
+    @settings(max_examples=5000, deadline=None)
+    @given(mutated_networks())
+    def test_mutated_networks_sweep(self, text):
+        assert_total(parse(text))

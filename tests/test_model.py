@@ -209,9 +209,6 @@ class TestCoercion:
         cao = build_ref7()
         assert cao.size == 7
         assert cao.entity_names() == ("i", "j", "d", "s", "g", "u", "h")
-        assert cao.index_of("g") == 4
-        with pytest.raises(KeyError):
-            cao.index_of("zz")
         assert cao.initial_state() == (33, 21, 0, 0, 0, 0, 0)
 
 
@@ -231,7 +228,7 @@ class TestDerivedViews:
         matrix = build_configuration_matrix(build_ref7())
         assert matrix.names == ("i", "j", "d", "s", "g", "u", "h")
         assert matrix.cells == tuple(tuple(Fr(c) for c in row) for row in REF7_GRID)
-        assert matrix.radix(0) == 10 and matrix.radix(6) == 0
+        assert matrix.cells[0][0] == 10 and matrix.cells[6][6] == 0
 
     def test_disabled_operator_leaves_no_cells(self):
         cao = build_ref7()
