@@ -381,6 +381,62 @@ class TestRecoveryPaths:
         assert result.cao is None
 
 
+def _network(line):
+    """A clean network of four entities and one operator, plus ``line`` as its fifth line."""
+    return f'cao "t" {{\n  entity a, b = 1;\n  entity c, d = 0;\n  op (a:2) -> (b:1);\n  {line}\n}}\n'
+
+
+# One syntax-clean text per structural rule the validator can report for a
+# parsed file, with the one diagnostic it gets and the token that carries it.
+VIOLATION_CASES = [
+    ("negative-initial", "entity e = -1/2;",
+     _err("negative initial cardinal -1/2 for entity 'e'", 5, 14, 4)),
+    ("non-positive-radix", "op (c:0) -> (d:1);",
+     _err("non-positive radix 0 for operand 'c' of operator 1", 5, 9, 1)),
+    ("duplicate-operand", "op (c:1, c:2) -> (d:1);",
+     _err("duplicate operand 'c' in operator 1", 5, 12, 1)),
+    ("multiple-outgoing", "op (c:1, a:3) -> (d:1);",
+     _err("entity 'a' has multiple outgoing operators (already an operand of operator 0)", 5, 12, 1)),
+    ("self-loop", "op (c:2) -> (d:1, c:1);",
+     _err("operator 1 maps entity 'c' to itself", 5, 21, 1)),
+    ("duplicate-image", "op (c:2) -> (d:1, d:2);",
+     _err("duplicate image 'd' in operator 1", 5, 21, 1)),
+    ("negative-coefficient", "op (c:2) -> (b:1, d:-3);",
+     _err("negative coefficient -3 toward image 'd' (qplus mode forbids signs)", 5, 23, 2)),
+    ("schedule-negative-step", "at -1 { op 0 enabled = false; }",
+     _err("negative schedule step -1", 5, 6, 2)),
+    ("schedule-bad-operator", "at 1 { op 0 enabled = true; op 5 enabled = false; }",
+     _err("schedule step 1 targets unknown operator 5", 5, 34, 1)),
+    ("schedule-not-operand", "at 1 { op 0 radix b = 2; }",
+     _err("schedule step 1: 'b' is not an operand of operator 0", 5, 21, 1)),
+    ("schedule-not-image", "at 2 { op 0 enabled = true; } at 2 { op 0 coeff a = 2; }",  # slot 1 of step 2
+     _err("schedule step 2: 'a' is not an image of operator 0", 5, 51, 1)),
+    ("schedule-non-positive-radix", "at 3 { op 0 radix a = 0; }",
+     _err("schedule step 3: non-positive radix 0 for operand 'a'", 5, 25, 1)),
+    ("schedule-negative-coefficient", "at 1 { op 0 coeff b = -2; }",
+     _err("schedule step 1: negative coefficient -2 toward image 'b' (qplus mode forbids signs)", 5, 25, 2)),
+]
+
+
+class TestViolationSpans:
+    """Every structural rule a parsed file can break, pinned to its message and token."""
+
+    @pytest.mark.parametrize(
+        "line, expected", [pytest.param(line, d, id=i) for i, line, d in VIOLATION_CASES]
+    )
+    def test_violation_points_at_its_token(self, line, expected):
+        result = parse(_network(line))
+        assert result.diagnostics == (expected,)
+        assert result.cao is None
+
+    def test_zero_coefficient_warning_points_at_the_coefficient(self):
+        result = parse(_network("op (c:2) -> (d:0);"))
+        assert result.diagnostics == (
+            Diagnostic("warning", "zero coefficient toward image 'd' has no effect", Span(5, 18, 1)),
+        )
+        assert result.ok
+
+
 class TestLexing:
     """Edge cases of how text splits into tokens, pinned to exact spans."""
 

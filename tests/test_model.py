@@ -181,6 +181,38 @@ class TestValidation:
             "schedule-bad-value"
         }
 
+    # Rules the .sns parser never lets through (it refuses duplicate and
+    # unknown names and empty pair lists, and writes only booleans for
+    # ``enabled``): only a network built in code can break them.
+    LIBRARY_ONLY = [
+        ("bad-entity-index", Cao("t", (Entity(1, "a", 1),))),
+        ("bad-entity-index", Cao(
+            "t",
+            (Entity(0, "a", 1), Entity(1, "b", 0)),
+            (Operator(RATIONAL, (Operand(7, 2),), (Image(1, 1),)),),
+        )),
+        ("bad-entity-index", Cao(
+            "t",
+            (Entity(0, "a", 1), Entity(1, "b", 0)),
+            (Operator(RATIONAL, (Operand(0, 2),), (Image(7, 1),)),),
+        )),
+        ("bad-entity-name", Cao("t", (Entity(0, "", 1),))),
+        ("duplicate-entity", Cao("t", (Entity(0, "a", 1), Entity(1, "a", 2)))),
+        ("empty-operands", Cao(
+            "t", (Entity(0, "a", 1), Entity(1, "b", 0)), (Operator(RATIONAL, (), (Image(1, 1),)),)
+        )),
+        ("empty-images", Cao(
+            "t", (Entity(0, "a", 1), Entity(1, "b", 0)), (Operator(RATIONAL, (Operand(0, 2),), ()),)
+        )),
+        ("schedule-bad-value", two_entities(
+            schedule={2: (Override(0, "enabled", None, True), Override(0, "enabled", None, Fr(1)))}
+        )),
+    ]
+
+    @pytest.mark.parametrize("code, cao", LIBRARY_ONLY)
+    def test_library_only_rules(self, code, cao):
+        assert [v.code for v in validate_cao(cao)] == [code]
+
     def test_schedule_negative_coeff_fine_in_qminus(self):
         cao = two_entities(
             mode=Mode.Q_MINUS, schedule={0: (Override(0, "coeff", 1, Fr(-2)),)}
