@@ -24,10 +24,15 @@ Parsing is total: any input, including binary garbage, yields a
 A statement is abandoned at its first syntax error, and one statement loop,
 shared by the body and the schedule blocks, skips to the next ``;`` or ``}``
 and resumes, so one run reports every problem it can reach. A missing ``;``
-is reported and skipped to, but its statement still counts. Structural rule
-violations (duplicate operands, negative coefficients outside qminus, ...)
-are checked once the file is syntactically clean and reported through the
-same diagnostic channel, pointed at the offending token.
+is reported and skipped to, but its statement still counts. A block whose
+``{`` is missing is still parsed when a statement keyword of that block
+follows; otherwise the header skips past the next ``;``, and an ``at`` is
+abandoned like any failed statement. An ``at`` without its step number still
+parses its block. Structural rule violations (duplicate operands, negative
+coefficients outside qminus, ...) are checked once the file is syntactically
+clean and reported through the same diagnostic channel. The parser records
+each element's token under the element's path, and a violation points at
+the token of the longest recorded prefix of its :attr:`Violation.at` path.
 
 :func:`serialize` renders a network in a fixed canonical layout; parsing it
 back reproduces the network exactly.
@@ -182,43 +187,28 @@ def _lex(text: str, diags: list[Diagnostic]) -> Iterator[_Token]:
 
 
 @dataclass
-class _OpTokens:
-    keyword: _Token
-    operands: list[tuple[_Token, _Token]]  # (name, radix) per slot
-    images: list[tuple[_Token, _Token]]  # (name, coefficient) per slot
-
-
-@dataclass
-class _OverrideTokens:
-    op_index: _Token
-    entity: _Token | None
-    value: _Token
-
-
-@dataclass
 class _Builder:
-    """Accumulates the network plus the tokens each piece came from, so
-    structural violations can be pointed back at source text."""
+    """Accumulates the network plus the token each element came from, keyed
+    by the element's :class:`Violation` path, so structural violations can be
+    pointed back at source text."""
 
     name: str = ""
     mode: Mode = Mode.Q_PLUS
     default_kind: CarryKind = CarryKind.RATIONAL_EXACT
     entities: list[Entity] = field(default_factory=list)
     by_name: dict[str, int] = field(default_factory=dict)
-    entity_tokens: list[tuple[_Token, _Token]] = field(default_factory=list)
     operators: list[Operator] = field(default_factory=list)
-    op_tokens: list[_OpTokens] = field(default_factory=list)
     schedule: dict[int, list[Override]] = field(default_factory=dict)
-    override_tokens: dict[tuple[int, int], _OverrideTokens] = field(default_factory=dict)
-    step_tokens: dict[int, _Token] = field(default_factory=dict)
+    tokens: dict[tuple[str | int, ...], _Token] = field(default_factory=dict)
 
     def add_entity(self, name_tok: _Token, value_tok: _Token) -> Diagnostic | None:
         name = name_tok.text
         if name in self.by_name:
             return Diagnostic("error", f"duplicate entity name '{name}'", name_tok.span)
-        self.by_name[name] = len(self.entities)
-        self.entities.append(Entity(len(self.entities), name, value_tok.value))
-        self.entity_tokens.append((name_tok, value_tok))
+        i = self.by_name[name] = len(self.entities)
+        self.entities.append(Entity(i, name, value_tok.value))
+        self.tokens["entity", i] = name_tok
+        self.tokens["entity", i, "initial"] = value_tok
         return None
 
     def add_operator(
@@ -232,6 +222,7 @@ class _Builder:
     ) -> None:
         if any(e is None for e, _ in operands) or any(e is None for e, _ in images):
             return  # unresolved names already reported; the file cannot build
+        o = len(self.operators)
         self.operators.append(
             Operator(
                 kind,
@@ -239,14 +230,21 @@ class _Builder:
                 tuple(Image(e, v) for e, v in images),
             )
         )
-        self.op_tokens.append(_OpTokens(kw, otoks, itoks))
+        self.tokens["operator", o] = kw
+        for side, number, toks in (("operand", "radix", otoks), ("image", "coefficient", itoks)):
+            for slot, (name_tok, num_tok) in enumerate(toks):
+                self.tokens["operator", o, side, slot] = name_tok
+                self.tokens["operator", o, side, slot, number] = num_tok
 
     def add_override(
         self, step: int, ov: Override, op_tok: _Token, ent_tok: _Token | None, val_tok: _Token
     ) -> None:
         slot = len(self.schedule.setdefault(step, []))
         self.schedule[step].append(ov)
-        self.override_tokens[(step, slot)] = _OverrideTokens(op_tok, ent_tok, val_tok)
+        self.tokens["schedule", step, slot, "operator"] = op_tok
+        if ent_tok is not None:
+            self.tokens["schedule", step, slot, "entity"] = ent_tok
+        self.tokens["schedule", step, slot, "value"] = val_tok
 
     def build(self) -> Cao:
         return Cao(
@@ -258,31 +256,11 @@ class _Builder:
         )
 
     def span_for(self, v: Violation) -> Span:
-        if v.code == "negative-initial" and v.entity is not None:
-            return self.entity_tokens[v.entity][1].span
-        if v.operator is not None and v.operator < len(self.op_tokens):
-            toks = self.op_tokens[v.operator]
-            if v.code == "non-positive-radix" and v.operand is not None:
-                return toks.operands[v.operand][1].span
-            if v.code in ("duplicate-operand", "multiple-outgoing") and v.operand is not None:
-                return toks.operands[v.operand][0].span
-            if v.code in ("self-loop", "duplicate-image") and v.image is not None:
-                return toks.images[v.image][0].span
-            if v.code == "negative-coefficient" and v.image is not None:
-                return toks.images[v.image][1].span
-            if v.step is None:
-                return toks.keyword.span
-        if v.step is not None:
-            key = (v.step, v.override)
-            if key in self.override_tokens:
-                otoks = self.override_tokens[key]
-                if v.code == "schedule-bad-operator":
-                    return otoks.op_index.span
-                if v.code in ("schedule-not-operand", "schedule-not-image"):
-                    return (otoks.entity or otoks.value).span
-                return otoks.value.span
-            if v.step in self.step_tokens:
-                return self.step_tokens[v.step].span
+        """The token of the longest recorded prefix of the violation's path."""
+        for n in range(len(v.at), 0, -1):
+            tok = self.tokens.get(v.at[:n])
+            if tok is not None:
+                return tok.span
         return Span(1, 1, 1)
 
 
@@ -363,17 +341,20 @@ class _Parser:
         if self.expect(";", "';'") is None:
             self.recover()
 
+    def starts(self, parsers: dict[str, Callable[..., None]]) -> bool:
+        """Whether ``cur`` is a keyword that begins one of ``parsers``' statements."""
+        return self.cur.type == "KEYWORD" and self.cur.text in parsers
+
     def statements(self, parsers: dict[str, Callable[..., None]], where: str, *args: object) -> None:
         """Statements through the block's closing '}', each begun by a keyword
         in ``parsers``. The one recovery point: a failed statement is
         abandoned at the next ';' or '}'."""
         while not self.at("}") and not self.at("EOF"):
-            t = self.cur
             try:
-                if t.type != "KEYWORD" or t.text not in parsers:
+                if not self.starts(parsers):
                     self.unexpected((*parsers, "}"), where)
                     raise _SkipStatement
-                parsers[t.text](*args)
+                parsers[self.cur.text](*args)
             except _SkipStatement:
                 self.recover()
         self.expect("}", "'}'")
@@ -399,9 +380,10 @@ class _Parser:
                 b.default_kind = CarryKind(self.advance().text)
             else:
                 self.unexpected(("rational", "integer"), " after 'kind'")
-        if self.expect("{", "'{'") is None:
+        body = {"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}
+        if self.expect("{", "'{'") is None and not self.starts(body):
             self.recover()
-        self.statements({"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}, "", b)
+        self.statements(body, "", b)
         if not self.at("EOF"):
             self.error("unexpected text after the closing '}'")
         return b
@@ -458,15 +440,17 @@ class _Parser:
 
     def parse_at(self, b: _Builder) -> None:
         self.advance()  # at
-        num = self.need("NUMBER", "a step index")
-        if num.value.denominator != 1:
+        num = self.expect("NUMBER", "a step index")
+        step = 0
+        if num is not None and num.value.denominator != 1:
             self.error("step index must be an integer", num.span)
-            step = 0
-        else:
+        elif num is not None:
             step = int(num.value)
-        b.step_tokens.setdefault(step, num)
-        self.need("{", "'{'")
-        self.statements({"op": self.parse_override}, " in a schedule block", b, step)
+            b.tokens.setdefault(("schedule", step), num)
+        block = {"op": self.parse_override}
+        if self.expect("{", "'{'") is None and not self.starts(block):
+            raise _SkipStatement
+        self.statements(block, " in a schedule block", b, step)
 
     def parse_override(self, b: _Builder, step: int) -> None:
         self.advance()  # op
@@ -531,7 +515,7 @@ def parse(text: str) -> ParseResult:
                             "warning",
                             f"zero coefficient toward image "
                             f"'{cao.entities[im.entity].name}' has no effect",
-                            builder.op_tokens[oi].images[slot][1].span,
+                            builder.tokens["operator", oi, "image", slot, "coefficient"].span,
                         )
                     )
     if any(d.severity == "error" for d in diags):

@@ -27,6 +27,10 @@ Structural rules enforced by :func:`validate_cao`:
 * schedule overrides target existing operator slots and respect the radix and
   sign rules above.
 
+Each :class:`Violation` names the element it blames by a path such as
+``("operator", 1, "image", 0, "coefficient")``, so a front end can point at
+that element's source text without knowing the rules.
+
 Cycles in the operator topology are allowed; termination is the runner's
 concern, not a structural property.
 """
@@ -207,20 +211,19 @@ class Cao:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural rule broken, with enough locus to point at source text.
+    """One structural rule broken, and the element of the network that breaks it.
 
-    ``operand``/``image``/``override`` are slot positions inside the operator
-    or schedule step they accompany; ``entity`` is an entity index.
+    ``at`` names that element from the outside in: ``("entity", i)`` and
+    ``("entity", i, "initial")``; ``("operator", o)``, ``("operator", o,
+    "operand"|"image", slot)`` and that path ending in ``"radix"`` or
+    ``"coefficient"``; ``("schedule", step)`` and ``("schedule", step, slot,
+    "operator"|"entity"|"value")``. A slot is a position inside the operator
+    or schedule step; ``i`` and ``o`` are entity and operator indices.
     """
 
     code: str
     message: str
-    entity: int | None = None
-    operator: int | None = None
-    operand: int | None = None
-    image: int | None = None
-    step: int | None = None
-    override: int | None = None
+    at: tuple[str | int, ...]
 
     def __str__(self) -> str:
         return self.message
@@ -236,24 +239,19 @@ def validate_cao(cao: Cao) -> list[Violation]:
 
     seen_names: dict[str, int] = {}
     for i, ent in enumerate(cao.entities):
+        at = ("entity", i)
         if ent.index != i:
             out.append(
                 Violation(
                     "bad-entity-index",
                     f"entity '{ent.name}' has index {ent.index}, expected {i}",
-                    entity=i,
+                    at,
                 )
             )
         if not ent.name:
-            out.append(Violation("bad-entity-name", f"entity {i} has an empty name", entity=i))
+            out.append(Violation("bad-entity-name", f"entity {i} has an empty name", at))
         elif ent.name in seen_names:
-            out.append(
-                Violation(
-                    "duplicate-entity",
-                    f"duplicate entity name '{ent.name}'",
-                    entity=i,
-                )
-            )
+            out.append(Violation("duplicate-entity", f"duplicate entity name '{ent.name}'", at))
         else:
             seen_names[ent.name] = i
         if ent.initial < 0:
@@ -262,7 +260,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                     "negative-initial",
                     f"negative initial cardinal {format_rational(ent.initial)} "
                     f"for entity '{ent.name}'",
-                    entity=i,
+                    (*at, "initial"),
                 )
             )
 
@@ -271,21 +269,22 @@ def validate_cao(cao: Cao) -> list[Violation]:
 
     outgoing: dict[int, int] = {}  # entity index -> operator that drains it
     for oi, op in enumerate(cao.operators):
+        at = ("operator", oi)
         if not op.operands:
-            out.append(Violation("empty-operands", f"operator {oi} has no operands", operator=oi))
+            out.append(Violation("empty-operands", f"operator {oi} has no operands", at))
         if not op.images:
-            out.append(Violation("empty-images", f"operator {oi} has no images", operator=oi))
+            out.append(Violation("empty-images", f"operator {oi} has no images", at))
 
         local_operands: set[int] = set()
         for slot, operand in enumerate(op.operands):
             e = operand.entity
+            at = ("operator", oi, "operand", slot)
             if not 0 <= e < m:
                 out.append(
                     Violation(
                         "bad-entity-index",
                         f"operator {oi} operand {slot} references unknown entity {e}",
-                        operator=oi,
-                        operand=slot,
+                        at,
                     )
                 )
                 continue
@@ -295,9 +294,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                         "non-positive-radix",
                         f"non-positive radix {format_rational(operand.radix)} "
                         f"for operand '{ent_name(e)}' of operator {oi}",
-                        operator=oi,
-                        operand=slot,
-                        entity=e,
+                        (*at, "radix"),
                     )
                 )
             if e in local_operands:
@@ -305,9 +302,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                     Violation(
                         "duplicate-operand",
                         f"duplicate operand '{ent_name(e)}' in operator {oi}",
-                        operator=oi,
-                        operand=slot,
-                        entity=e,
+                        at,
                     )
                 )
                 continue
@@ -318,9 +313,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                         "multiple-outgoing",
                         f"entity '{ent_name(e)}' has multiple outgoing operators "
                         f"(already an operand of operator {outgoing[e]})",
-                        operator=oi,
-                        operand=slot,
-                        entity=e,
+                        at,
                     )
                 )
             else:
@@ -329,34 +322,26 @@ def validate_cao(cao: Cao) -> list[Violation]:
         local_images: set[int] = set()
         for slot, image in enumerate(op.images):
             e = image.entity
+            at = ("operator", oi, "image", slot)
             if not 0 <= e < m:
                 out.append(
                     Violation(
                         "bad-entity-index",
                         f"operator {oi} image {slot} references unknown entity {e}",
-                        operator=oi,
-                        image=slot,
+                        at,
                     )
                 )
                 continue
             if e in local_operands:
                 out.append(
                     Violation(
-                        "self-loop",
-                        f"operator {oi} maps entity '{ent_name(e)}' to itself",
-                        operator=oi,
-                        image=slot,
-                        entity=e,
+                        "self-loop", f"operator {oi} maps entity '{ent_name(e)}' to itself", at
                     )
                 )
             if e in local_images:
                 out.append(
                     Violation(
-                        "duplicate-image",
-                        f"duplicate image '{ent_name(e)}' in operator {oi}",
-                        operator=oi,
-                        image=slot,
-                        entity=e,
+                        "duplicate-image", f"duplicate image '{ent_name(e)}' in operator {oi}", at
                     )
                 )
             local_images.add(e)
@@ -366,27 +351,25 @@ def validate_cao(cao: Cao) -> list[Violation]:
                         "negative-coefficient",
                         f"negative coefficient {format_rational(image.coefficient)} "
                         f"toward image '{ent_name(e)}' (qplus mode forbids signs)",
-                        operator=oi,
-                        image=slot,
-                        entity=e,
+                        (*at, "coefficient"),
                     )
                 )
 
     for step in sorted(cao.schedule):
-        overrides = cao.schedule[step]
         if step < 0:
             out.append(
-                Violation("schedule-negative-step", f"negative schedule step {step}", step=step)
+                Violation(
+                    "schedule-negative-step", f"negative schedule step {step}", ("schedule", step)
+                )
             )
-        for slot, ov in enumerate(overrides):
+        for slot, ov in enumerate(cao.schedule[step]):
+            at = ("schedule", step, slot)
             if not 0 <= ov.operator < len(cao.operators):
                 out.append(
                     Violation(
                         "schedule-bad-operator",
                         f"schedule step {step} targets unknown operator {ov.operator}",
-                        step=step,
-                        override=slot,
-                        operator=ov.operator,
+                        (*at, "operator"),
                     )
                 )
                 continue
@@ -397,22 +380,17 @@ def validate_cao(cao: Cao) -> list[Violation]:
                         Violation(
                             "schedule-bad-value",
                             f"schedule step {step}: enabled override needs a boolean",
-                            step=step,
-                            override=slot,
-                            operator=ov.operator,
+                            (*at, "value"),
                         )
                     )
-                continue
-            if ov.field == "radix":
+            elif ov.field == "radix":
                 if ov.entity not in op.operand_entities():
                     out.append(
                         Violation(
                             "schedule-not-operand",
                             f"schedule step {step}: '{ent_name(ov.entity)}' is not an "
                             f"operand of operator {ov.operator}",
-                            step=step,
-                            override=slot,
-                            operator=ov.operator,
+                            (*at, "entity"),
                         )
                     )
                 elif ov.value <= 0:
@@ -422,35 +400,28 @@ def validate_cao(cao: Cao) -> list[Violation]:
                             f"schedule step {step}: non-positive radix "
                             f"{format_rational(ov.value)} for operand "
                             f"'{ent_name(ov.entity)}'",
-                            step=step,
-                            override=slot,
-                            operator=ov.operator,
+                            (*at, "value"),
                         )
                     )
-            else:  # coeff
-                if ov.entity not in op.image_entities():
-                    out.append(
-                        Violation(
-                            "schedule-not-image",
-                            f"schedule step {step}: '{ent_name(ov.entity)}' is not an "
-                            f"image of operator {ov.operator}",
-                            step=step,
-                            override=slot,
-                            operator=ov.operator,
-                        )
+            elif ov.entity not in op.image_entities():  # coeff
+                out.append(
+                    Violation(
+                        "schedule-not-image",
+                        f"schedule step {step}: '{ent_name(ov.entity)}' is not an "
+                        f"image of operator {ov.operator}",
+                        (*at, "entity"),
                     )
-                elif cao.mode is Mode.Q_PLUS and ov.value < 0:
-                    out.append(
-                        Violation(
-                            "schedule-negative-coefficient",
-                            f"schedule step {step}: negative coefficient "
-                            f"{format_rational(ov.value)} toward image "
-                            f"'{ent_name(ov.entity)}' (qplus mode forbids signs)",
-                            step=step,
-                            override=slot,
-                            operator=ov.operator,
-                        )
+                )
+            elif cao.mode is Mode.Q_PLUS and ov.value < 0:
+                out.append(
+                    Violation(
+                        "schedule-negative-coefficient",
+                        f"schedule step {step}: negative coefficient "
+                        f"{format_rational(ov.value)} toward image "
+                        f"'{ent_name(ov.entity)}' (qplus mode forbids signs)",
+                        (*at, "value"),
                     )
+                )
     return out
 
 
@@ -468,10 +439,6 @@ class ConfigurationMatrix:
     names: tuple[str, ...]
     cells: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
 
 @dataclass(frozen=True)
 class CarryPartition:
@@ -488,22 +455,18 @@ class CarryPartition:
     sinks: tuple[int, ...]
 
 
-def build_configuration_matrix(
-    cao: Cao, operators: tuple[Operator, ...] | None = None
-) -> ConfigurationMatrix:
-    """Derive the configuration matrix, optionally from effective operators.
+def build_configuration_matrix(cao: Cao) -> ConfigurationMatrix:
+    """Derive the configuration matrix of the network's declared operators.
 
     Disabled operators contribute no cells (their operands show radix 0 like
-    sinks), which is what makes a scheduled disable behave exactly like the
-    operator being absent. Declaration order of operators does not affect the
-    result: each entity is drained by at most one operator, so every cell has
-    a single writer.
+    sinks), exactly as if absent. Declaration order of operators does not
+    affect the result: each entity is drained by at most one operator, so
+    every cell has a single writer.
     """
-    ops = cao.operators if operators is None else tuple(operators)
     m = cao.size
     zero = Fraction(0)
     grid = [[zero] * m for _ in range(m)]
-    for op in ops:
+    for op in cao.operators:
         if not op.enabled:
             continue
         for operand in op.operands:

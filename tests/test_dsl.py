@@ -257,14 +257,15 @@ def _err(message, line, column, length, expected=None):
 
 NEXT = _err("unknown entity 'zz'", 5, 16, 2)  # the fifth line of _body, parsed after recovery
 
-# One malformed statement per place the parser gives up on a statement and
-# resumes at the next ';' or '}', with every diagnostic it reports.
+# One malformed statement per place the parser reports a syntax error and
+# resumes, with every diagnostic it reports.
 RECOVERY_CASES = [
     ("header-missing-brace", 'cao "t"\n  entity a, b = 1;\n  op (a:2) -> (b:1);\n  op (b:1) -> (zz:1);\n}\n', [
-        _err("expected '{', found 'entity'", 2, 3, 6, ("{",)),
-        _err("unknown entity 'a'", 3, 7, 1),
-        _err("unknown entity 'b'", 3, 16, 1),
-        _err("unknown entity 'b'", 4, 7, 1),
+        _err("expected '{', found 'entity'", 2, 3, 6, ("{",)),  # resumes at 'entity'
+        _err("unknown entity 'zz'", 4, 16, 2),
+    ]),
+    ("header-missing-brace-before-text", 'cao "t"\n  foo = 1;\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected '{', found 'foo'", 2, 3, 3, ("{",)),  # skips through 'foo = 1;'
         _err("unknown entity 'zz'", 4, 16, 2),
     ]),
     ("body-stray-statement", _body("foo = 1;"), [
@@ -308,14 +309,18 @@ RECOVERY_CASES = [
     ("image-missing-close-paren", _body("op (a:2) -> (b:1;"), [_err("expected ')', found ';'", 4, 19, 1, (")",)), NEXT]),
     ("op-missing-semicolon", _body("op (a:2) -> (b:1)"), [_err("expected ';', found 'op'", 5, 3, 2, (";",))]),
     ("at-missing-step", _body("at { op 0 enabled = false; op 0 radix zz = 1; }"), [
-        _err("expected a step index, found '{'", 4, 6, 1, ("NUMBER",)),
-        _err("expected '(', found '0'", 4, 33, 1, ("(",)),
-        _err("unexpected text after the closing '}'", 5, 3, 2),
+        _err("expected a step index, found '{'", 4, 6, 1, ("NUMBER",)),  # the block is still parsed
+        _err("unknown entity 'zz'", 4, 41, 2),
+        NEXT,
     ]),
     ("at-missing-brace", _body("at 1 op 0 enabled = false; op 0 radix zz = 1; }"), [
-        _err("expected '{', found 'op'", 4, 8, 2, ("{",)),
-        _err("expected '(', found '0'", 4, 33, 1, ("(",)),
-        _err("unexpected text after the closing '}'", 5, 3, 2),
+        _err("expected '{', found 'op'", 4, 8, 2, ("{",)),  # resumes at 'op'; its '}' closes the block
+        _err("unknown entity 'zz'", 4, 41, 2),
+        NEXT,
+    ]),
+    ("at-missing-brace-before-statement", _body("at 1 entity c = 1;"), [
+        _err("expected '{', found 'entity'", 4, 8, 6, ("{",)),  # abandons the 'at' statement
+        NEXT,
     ]),
     ("schedule-stray-statement", _body("at 1 { entity c = 1; op 0 radix zz = 1; }"), [
         _err("expected 'op' or '}' in a schedule block, found 'entity'", 4, 10, 6, ("op", "}")),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -66,7 +67,7 @@ class TestValidation:
             problems = validate_cao(cao)
             assert [v.code for v in problems] == ["non-positive-radix"]
             assert "non-positive radix" in problems[0].message
-            assert problems[0].operator == 0 and problems[0].operand == 0
+            assert problems[0].at == ("operator", 0, "operand", 0, "radix")
 
     def test_negative_coefficient_rejected_in_qplus(self):
         cao = Cao(
@@ -99,7 +100,7 @@ class TestValidation:
         problems = validate_cao(cao)
         assert [v.code for v in problems] == ["multiple-outgoing"]
         assert "multiple outgoing operators" in problems[0].message
-        assert problems[0].operator == 1
+        assert problems[0].at == ("operator", 1, "operand", 0)
 
     def test_duplicate_operand(self):
         cao = Cao(
@@ -185,33 +186,33 @@ class TestValidation:
     # unknown names and empty pair lists, and writes only booleans for
     # ``enabled``): only a network built in code can break them.
     LIBRARY_ONLY = [
-        ("bad-entity-index", Cao("t", (Entity(1, "a", 1),))),
-        ("bad-entity-index", Cao(
+        ("bad-entity-index", ("entity", 0), Cao("t", (Entity(1, "a", 1),))),
+        ("bad-entity-index", ("operator", 0, "operand", 0), Cao(
             "t",
             (Entity(0, "a", 1), Entity(1, "b", 0)),
             (Operator(RATIONAL, (Operand(7, 2),), (Image(1, 1),)),),
         )),
-        ("bad-entity-index", Cao(
+        ("bad-entity-index", ("operator", 0, "image", 0), Cao(
             "t",
             (Entity(0, "a", 1), Entity(1, "b", 0)),
             (Operator(RATIONAL, (Operand(0, 2),), (Image(7, 1),)),),
         )),
-        ("bad-entity-name", Cao("t", (Entity(0, "", 1),))),
-        ("duplicate-entity", Cao("t", (Entity(0, "a", 1), Entity(1, "a", 2)))),
-        ("empty-operands", Cao(
+        ("bad-entity-name", ("entity", 0), Cao("t", (Entity(0, "", 1),))),
+        ("duplicate-entity", ("entity", 1), Cao("t", (Entity(0, "a", 1), Entity(1, "a", 2)))),
+        ("empty-operands", ("operator", 0), Cao(
             "t", (Entity(0, "a", 1), Entity(1, "b", 0)), (Operator(RATIONAL, (), (Image(1, 1),)),)
         )),
-        ("empty-images", Cao(
+        ("empty-images", ("operator", 0), Cao(
             "t", (Entity(0, "a", 1), Entity(1, "b", 0)), (Operator(RATIONAL, (Operand(0, 2),), ()),)
         )),
-        ("schedule-bad-value", two_entities(
+        ("schedule-bad-value", ("schedule", 2, 1, "value"), two_entities(
             schedule={2: (Override(0, "enabled", None, True), Override(0, "enabled", None, Fr(1)))}
         )),
     ]
 
-    @pytest.mark.parametrize("code, cao", LIBRARY_ONLY)
-    def test_library_only_rules(self, code, cao):
-        assert [v.code for v in validate_cao(cao)] == [code]
+    @pytest.mark.parametrize("code, at, cao", LIBRARY_ONLY)
+    def test_library_only_rules(self, code, at, cao):
+        assert [(v.code, v.at) for v in validate_cao(cao)] == [(code, at)]
 
     def test_schedule_negative_coeff_fine_in_qminus(self):
         cao = two_entities(
@@ -266,7 +267,7 @@ class TestDerivedViews:
         cao = build_ref7()
         ops = list(cao.operators)
         ops[0] = Operator(ops[0].kind, ops[0].operands, ops[0].images, enabled=False)
-        matrix = build_configuration_matrix(cao, tuple(ops))
+        matrix = build_configuration_matrix(replace(cao, operators=tuple(ops)))
         for row in (0, 1):  # i and j rows go blank
             assert all(cell == 0 for cell in matrix.cells[row])
         assert matrix.cells[2][2] == 8  # the rest is untouched
