@@ -30,9 +30,10 @@ follows; otherwise the header skips past the next ``;``, and an ``at`` is
 abandoned like any failed statement. An ``at`` without its step number still
 parses its block. Structural rule violations (duplicate operands, negative
 coefficients outside qminus, ...) are checked once the file is syntactically
-clean and reported through the same diagnostic channel. The parser records
-each element's token under the element's path, and a violation points at
-the token of the longest recorded prefix of its :attr:`Violation.at` path.
+clean and reported through the same diagnostic channel. A file that breaks
+one is parsed again, and that pass records each element's token under the
+element's path; a violation points at the token of the longest recorded
+prefix of its :attr:`Violation.at` path. A clean file keeps no tokens.
 
 :func:`serialize` renders a network in a fixed canonical layout; parsing it
 back reproduces the network exactly.
@@ -188,7 +189,8 @@ def _lex(text: str, diags: list[Diagnostic]) -> Iterator[_Token]:
 
 @dataclass
 class _Builder:
-    """Accumulates the network plus the token each element came from, keyed
+    """Accumulates the network and its zero-coefficient warnings. Given a
+    ``tokens`` dict, it also records the token each element came from, keyed
     by the element's :class:`Violation` path, so structural violations can be
     pointed back at source text."""
 
@@ -199,7 +201,8 @@ class _Builder:
     by_name: dict[str, int] = field(default_factory=dict)
     operators: list[Operator] = field(default_factory=list)
     schedule: dict[int, list[Override]] = field(default_factory=dict)
-    tokens: dict[tuple[str | int, ...], _Token] = field(default_factory=dict)
+    warnings: list[Diagnostic] = field(default_factory=list)
+    tokens: dict[tuple[str | int, ...], _Token] | None = None
 
     def add_entity(self, name_tok: _Token, value_tok: _Token) -> Diagnostic | None:
         name = name_tok.text
@@ -207,8 +210,9 @@ class _Builder:
             return Diagnostic("error", f"duplicate entity name '{name}'", name_tok.span)
         i = self.by_name[name] = len(self.entities)
         self.entities.append(Entity(i, name, value_tok.value))
-        self.tokens["entity", i] = name_tok
-        self.tokens["entity", i, "initial"] = value_tok
+        if self.tokens is not None:
+            self.tokens["entity", i] = name_tok
+            self.tokens["entity", i, "initial"] = value_tok
         return None
 
     def add_operator(
@@ -230,21 +234,32 @@ class _Builder:
                 tuple(Image(e, v) for e, v in images),
             )
         )
-        self.tokens["operator", o] = kw
-        for side, number, toks in (("operand", "radix", otoks), ("image", "coefficient", itoks)):
-            for slot, (name_tok, num_tok) in enumerate(toks):
-                self.tokens["operator", o, side, slot] = name_tok
-                self.tokens["operator", o, side, slot, number] = num_tok
+        for name_tok, num_tok in itoks:
+            if num_tok.value == 0:
+                self.warnings.append(
+                    Diagnostic(
+                        "warning",
+                        f"zero coefficient toward image '{name_tok.text}' has no effect",
+                        num_tok.span,
+                    )
+                )
+        if self.tokens is not None:
+            self.tokens["operator", o] = kw
+            for side, number, toks in (("operand", "radix", otoks), ("image", "coefficient", itoks)):
+                for slot, (name_tok, num_tok) in enumerate(toks):
+                    self.tokens["operator", o, side, slot] = name_tok
+                    self.tokens["operator", o, side, slot, number] = num_tok
 
     def add_override(
         self, step: int, ov: Override, op_tok: _Token, ent_tok: _Token | None, val_tok: _Token
     ) -> None:
         slot = len(self.schedule.setdefault(step, []))
         self.schedule[step].append(ov)
-        self.tokens["schedule", step, slot, "operator"] = op_tok
-        if ent_tok is not None:
-            self.tokens["schedule", step, slot, "entity"] = ent_tok
-        self.tokens["schedule", step, slot, "value"] = val_tok
+        if self.tokens is not None:
+            self.tokens["schedule", step, slot, "operator"] = op_tok
+            if ent_tok is not None:
+                self.tokens["schedule", step, slot, "entity"] = ent_tok
+            self.tokens["schedule", step, slot, "value"] = val_tok
 
     def build(self) -> Cao:
         return Cao(
@@ -361,10 +376,9 @@ class _Parser:
 
     # --- grammar -----------------------------------------------------------
 
-    def parse_cao(self) -> _Builder | None:
+    def parse_cao(self, b: _Builder) -> _Builder | None:
         if self.expect("KEYWORD", "'cao'", "cao") is None:
             return None
-        b = _Builder()
         name_tok = self.expect("STRING", "a quoted network name")
         if name_tok is not None:
             b.name = str(name_tok.value)
@@ -446,7 +460,8 @@ class _Parser:
             self.error("step index must be an integer", num.span)
         elif num is not None:
             step = int(num.value)
-            b.tokens.setdefault(("schedule", step), num)
+            if b.tokens is not None:
+                b.tokens.setdefault(("schedule", step), num)
         block = {"op": self.parse_override}
         if self.expect("{", "'{'") is None and not self.starts(block):
             raise _SkipStatement
@@ -495,29 +510,28 @@ class _Parser:
             raise _SkipStatement
 
 
+def _parse(text: str, diags: list[Diagnostic], builder: _Builder) -> _Builder | None:
+    """Parse ``text`` into ``builder``; None if it does not begin with 'cao'."""
+    tokens = _lex(text, diags)
+    done = _Parser(tokens, diags).parse_cao(builder)
+    for _ in tokens:  # lex errors past where the parser stopped still count
+        pass
+    return done
+
+
 def parse(text: str) -> ParseResult:
     """Parse a network definition; never raises, whatever the input."""
     diags: list[Diagnostic] = []
-    tokens = _lex(text, diags)
-    builder = _Parser(tokens, diags).parse_cao()
-    for _ in tokens:  # lex errors past where the parser stopped still count
-        pass
+    builder = _parse(text, diags, _Builder())
     cao: Cao | None = None
     if builder is not None and not any(d.severity == "error" for d in diags):
         cao = builder.build()
-        for v in validate_cao(cao):
-            diags.append(Diagnostic("error", v.message, builder.span_for(v)))
-        for oi, op in enumerate(cao.operators):
-            for slot, im in enumerate(op.images):
-                if im.coefficient == 0:
-                    diags.append(
-                        Diagnostic(
-                            "warning",
-                            f"zero coefficient toward image "
-                            f"'{cao.entities[im.entity].name}' has no effect",
-                            builder.tokens["operator", oi, "image", slot, "coefficient"].span,
-                        )
-                    )
+        diags.extend(builder.warnings)
+        violations = validate_cao(cao)
+        if violations:
+            # A clean file keeps no tokens; parsing it again records each element's token.
+            located = _parse(text, [], _Builder(tokens={}))
+            diags.extend(Diagnostic("error", v.message, located.span_for(v)) for v in violations)
     if any(d.severity == "error" for d in diags):
         cao = None
     diags.sort(key=lambda d: (d.span.line, d.span.column))

@@ -441,6 +441,14 @@ class TestViolationSpans:
         )
         assert result.ok
 
+    def test_violation_and_warning_in_one_file(self):
+        result = parse(_network("op (c:0) -> (d:0);"))
+        assert result.diagnostics == (
+            _err("non-positive radix 0 for operand 'c' of operator 1", 5, 9, 1),
+            Diagnostic("warning", "zero coefficient toward image 'd' has no effect", Span(5, 18, 1)),
+        )
+        assert result.cao is None
+
 
 class TestLexing:
     """Edge cases of how text splits into tokens, pinned to exact spans."""
