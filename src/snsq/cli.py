@@ -149,19 +149,20 @@ def _cmd_matrix(args: argparse.Namespace, cao: Cao) -> int:
         ]
 
     header = ("", *names)
-    config = build_configuration_matrix(cao)
     sections = [
-        _fmt_table("configuration", header, matrix_rows(config.cells)),
+        _fmt_table("configuration", header, matrix_rows(build_configuration_matrix(cao))),
         _fmt_table("radix diagonal", header, diagonal_rows(ops.radix)),
         _fmt_table("inverse radix diagonal", header, diagonal_rows(ops.inverse_radix)),
         _fmt_table("transfer", header, matrix_rows(matrix_engine.transfer_matrix(ops))),
     ]
     groups = ["carry groups"]
-    for gi, group in enumerate(ops.partition.groups):
+    for gi, group in enumerate(ops.partition):
         members = ", ".join(names[e] for e in group)
         groups.append(f"  group {gi}: {members}")
-    if ops.partition.sinks:
-        groups.append("  sinks: " + ", ".join(names[e] for e in ops.partition.sinks))
+    grouped = {e for group in ops.partition for e in group}
+    sinks = [name for e, name in enumerate(names) if e not in grouped]
+    if sinks:
+        groups.append("  sinks: " + ", ".join(sinks))
     sections.append("\n".join(groups))
     print("\n\n".join(sections))
     return 0
@@ -177,7 +178,7 @@ def _cmd_check(args: argparse.Namespace, cao: Cao) -> int:
         return "violation-free" if value is None else format_rational(value)
 
     print(
-        f"{args.file}: backends diverge at step {report.step} "
+        f"{args.file}: backends diverge at step {report.steps} "
         f"({report.kind} of '{report.entity}'): "
         f"operator={fmt(report.operator_value)} matrix={fmt(report.matrix_value)}",
         file=sys.stderr,

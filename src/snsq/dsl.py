@@ -22,15 +22,18 @@ point at are kept. Columns count characters, so a tab is one column.
 Parsing is total: any input, including binary garbage, yields a
 :class:`ParseResult` whose diagnostics carry 1-based line/column spans.
 A statement is abandoned at its first syntax error, and one statement loop,
-shared by the body and the schedule blocks, skips to the next ``;`` or ``}``
-and resumes, so one run reports every problem it can reach. A missing ``;``
-is reported and skipped to, but its statement still counts. A block whose
-``{`` is missing is still parsed when a statement keyword of that block
-follows; otherwise the header skips past the next ``;``, and an ``at`` is
-abandoned like any failed statement. An ``at`` without its step number still
-parses its block. Structural rule violations (duplicate operands, negative
-coefficients outside qminus, ...) are checked once the file is syntactically
-clean and reported through the same diagnostic channel. A file that breaks
+shared by the body and the schedule blocks, skips past the next ``;``, or to
+the next ``}`` or statement keyword of the block it is in, and resumes, so
+one run reports every problem it can reach. A ``{ ... }`` group met while
+skipping is skipped whole, so its ``}`` never closes the enclosing block. A
+missing ``;`` is reported and skipped the same way, but its statement still
+counts. A block whose ``{`` is missing is still parsed when a statement
+keyword of that block follows; otherwise the header skips past the body's
+``{`` or the next ``;``, and an ``at`` is abandoned like any failed
+statement. An ``at`` without its step number still parses its block.
+Structural rule violations (duplicate operands, negative coefficients
+outside qminus, ...) are checked once the file is syntactically clean and
+reported through the same diagnostic channel. A file that breaks
 one is parsed again, and that pass records each element's token under the
 element's path; a violation points at the token of the longest recorded
 prefix of its :attr:`Violation.at` path. A clean file keeps no tokens.
@@ -117,7 +120,7 @@ class _Token:
     text: str
     line: int
     column: int
-    value: object = None  # Fraction for NUMBER, str payload for STRING and names
+    value: object = None  # Fraction for NUMBER, str payload for STRING
 
     @property
     def span(self) -> Span:
@@ -161,7 +164,7 @@ def _lex(text: str, diags: list[Diagnostic]) -> Iterator[_Token]:
             if kind == "PUNCT":
                 yield _Token(lexeme, lexeme, number, col)
             elif kind == "NAME":
-                yield _Token("KEYWORD" if lexeme in KEYWORDS else "NAME", lexeme, number, col, lexeme)
+                yield _Token("KEYWORD" if lexeme in KEYWORDS else "NAME", lexeme, number, col)
             elif kind == "NUMBER":
                 try:
                     value = parse_rational(lexeme)
@@ -180,7 +183,7 @@ def _lex(text: str, diags: list[Diagnostic]) -> Iterator[_Token]:
             elif kind == "COMMENT":
                 eof_col = col  # the EOF column ignores a comment on the last line
             elif kind == "WORD" and lexeme[0].isalpha():
-                yield _Token("NAME", lexeme, number, col, lexeme)  # keywords are ASCII
+                yield _Token("NAME", lexeme, number, col)  # keywords are ASCII
             else:
                 pos = col  # a WORD that is no name resumes after its first character
                 diags.append(Diagnostic("error", f"unexpected character {lexeme[0]!r}", Span(number, col, 1)))
@@ -291,6 +294,7 @@ class _Parser:
         self.tokens = tokens
         self.cur = next(tokens)
         self.diags = diags
+        self.block: dict[str, Callable[..., None]] = {}  # statements of the block being parsed
 
     def at(self, ttype: str, text: str | None = None) -> bool:
         t = self.cur
@@ -341,14 +345,23 @@ class _Parser:
         listed = f"{', '.join(rest)}, or {last}" if len(rest) > 1 else f"{rest[0]} or {last}"
         self.error(f"expected {listed}{where}, found {self._found()}", expected=choices)
 
-    def recover(self) -> None:
-        """Skip ahead to the next ';' (consumed) or '}' (left in place)."""
+    def recover(self, header: bool = False) -> None:
+        """Skip ahead to the next ';' (consumed), or to a '}' or a statement
+        keyword of the enclosing block (left in place). A '{ ... }' group is
+        skipped whole, except after the ``header``, where a '{' opens the body
+        and is consumed like a ';'. A caller has consumed a token since its
+        statement began, or stands on none of these, so parsing moves on."""
+        depth = 0
         while not self.at("EOF"):
-            if self.at(";"):
+            if depth:
+                depth += self.at("{") - self.at("}")
+            elif self.at(";") or header and self.at("{"):
                 self.advance()
                 return
-            if self.at("}"):
+            elif self.at("}") or self.starts(self.block):
                 return
+            else:
+                depth = int(self.at("{"))
             self.advance()
 
     def end_statement(self) -> None:
@@ -363,7 +376,8 @@ class _Parser:
     def statements(self, parsers: dict[str, Callable[..., None]], where: str, *args: object) -> None:
         """Statements through the block's closing '}', each begun by a keyword
         in ``parsers``. The one recovery point: a failed statement is
-        abandoned at the next ';' or '}'."""
+        abandoned where :meth:`recover` stops."""
+        outer, self.block = self.block, parsers
         while not self.at("}") and not self.at("EOF"):
             try:
                 if not self.starts(parsers):
@@ -372,6 +386,7 @@ class _Parser:
                 parsers[self.cur.text](*args)
             except _SkipStatement:
                 self.recover()
+        self.block = outer
         self.expect("}", "'}'")
 
     # --- grammar -----------------------------------------------------------
@@ -394,9 +409,9 @@ class _Parser:
                 b.default_kind = CarryKind(self.advance().text)
             else:
                 self.unexpected(("rational", "integer"), " after 'kind'")
-        body = {"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}
+        body = self.block = {"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}
         if self.expect("{", "'{'") is None and not self.starts(body):
-            self.recover()
+            self.recover(header=True)
         self.statements(body, "", b)
         if not self.at("EOF"):
             self.error("unexpected text after the closing '}'")

@@ -5,12 +5,12 @@ The state evolves by
     next = state + (conversionᵀ − radix) · group_min(inverse_radix ∘ state)
 
 where ``inverse_radix`` holds each entity's reciprocal radix (zero for sinks
-and for operands of disabled operators), ``group_min`` replaces every
-entity's partial carry by the minimum over its carry-partition group
-(applying the integer floor first for floor-kind operators, and pinning
-sinks to zero), ``radix`` is the diagonal of radices and ``conversionᵀ``
-feeds each image its coefficient times a carry. Both engines must agree
-exactly at every step; the runner's ``check`` mode exploits that.
+and for operands of disabled operators, so their partial carry is zero),
+``group_min`` replaces the partial carry of each operator's operands by
+their minimum (applying the integer floor first for floor-kind operators),
+``radix`` is the diagonal of radices and ``conversionᵀ`` feeds each image
+its coefficient times a carry. Both engines must agree exactly at every
+step; the runner's ``check`` mode exploits that.
 
 Storage is sparse, so a step costs O(entities + images) rather than
 O(entities²). The radix and inverse-radix diagonals are length-m vectors,
@@ -30,12 +30,10 @@ from fractions import Fraction
 from snsq.model import (
     Cao,
     CarryKind,
-    CarryPartition,
     Mode,
     NegativeCardinalError,
     Operator,
     apply_schedule,
-    carry_partition,
 )
 from snsq.rationals import floor_to_integer
 
@@ -53,20 +51,17 @@ class StateOperators:
     ``radix`` and ``inverse_radix`` are the diagonals as vectors (sink
     entries zero); ``conversion`` holds the ``(image, representative,
     coefficient)`` entries described in the module docstring;
-    ``floor_mask[e]`` is True when entity e's partial carry is floored
-    before the group minimum.
+    ``partition[o]`` is the operand entities of operator o, the group whose
+    partial carries share one minimum; ``floor_mask[e]`` is True when entity
+    e's partial carry is floored before the group minimum.
     """
 
     names: tuple[str, ...]
     radix: Vector
     inverse_radix: Vector
     conversion: tuple[tuple[int, int, Fraction], ...]
-    partition: CarryPartition
+    partition: tuple[tuple[int, ...], ...]
     floor_mask: tuple[bool, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
 
 
 def build_operators(
@@ -75,18 +70,21 @@ def build_operators(
     """Assemble the state-equation operators from a network's operators.
 
     ``operators`` replaces ``cao.operators`` (a schedule's effective
-    parameters); the carry partition always comes from the declared
-    topology. Disabled operators contribute no radix and no conversion.
-    Representatives rotate through the group: image slot a, sorted by
-    image entity index, reads operand ``group[a % len(group)]``. Any choice
-    steps alike; this one fixes the transfer columns ``snsq matrix`` prints.
+    parameters; a schedule never moves an entity between operators, so the
+    partition is the declared one). Disabled operators contribute no radix
+    and no conversion but keep their group. Representatives rotate through
+    the group: image slot a, sorted by image entity index, reads operand
+    ``group[a % len(group)]``. Any choice steps alike; this one fixes the
+    transfer columns ``snsq matrix`` prints.
     """
     m = cao.size
     radix = [_ZERO] * m
     floor_mask = [False] * m
     conversion = []
+    partition = []
     for op in cao.operators if operators is None else operators:
         group = op.operand_entities()
+        partition.append(group)
         if op.kind is CarryKind.INTEGER_FLOOR:
             for e in group:
                 floor_mask[e] = True
@@ -102,7 +100,7 @@ def build_operators(
         radix=tuple(radix),
         inverse_radix=tuple(_ONE / r if r != 0 else _ZERO for r in radix),
         conversion=tuple(conversion),
-        partition=carry_partition(cao),
+        partition=tuple(partition),
         floor_mask=tuple(floor_mask),
     )
 
@@ -120,23 +118,22 @@ def partial_carries(state: Vector, ops: StateOperators) -> Vector:
     )
 
 
-def common_carry(partition: CarryPartition, carries: Vector) -> Vector:
-    """Group minimum of the partial carries; sink entries are pinned to zero."""
+def common_carry(partition: tuple[tuple[int, ...], ...], carries: Vector) -> Vector:
+    """Group minimum of the partial carries; an entity in no group keeps its own."""
     out = list(carries)
-    for group in partition.groups:
+    for group in partition:
         if not group:
             continue
         low = min(carries[e] for e in group)
         for e in group:
             out[e] = low
-    for e in partition.sinks:
-        out[e] = _ZERO
     return tuple(out)
 
 
 def transfer_matrix(ops: StateOperators) -> Matrix:
     """Conversion transpose minus the radix diagonal, densified for display."""
-    grid = [[_ZERO] * ops.size for _ in range(ops.size)]
+    m = len(ops.radix)
+    grid = [[_ZERO] * m for _ in range(m)]
     for e, r in enumerate(ops.radix):
         grid[e][e] = -r
     for image, representative, coefficient in ops.conversion:
@@ -144,10 +141,12 @@ def transfer_matrix(ops: StateOperators) -> Matrix:
     return tuple(tuple(row) for row in grid)
 
 
-def apply_carries(
-    state: Vector, ops: StateOperators, commons: Vector, mode: Mode, step: int = 0
-) -> Vector:
-    """Advance the state by the common-carry vector; Q_MINUS post-checks each entry."""
+def step_general(
+    state: Vector, ops: StateOperators, mode: Mode = Mode.Q_PLUS, step: int = 0
+) -> tuple[Vector, Vector]:
+    """One step with full grouping; returns the new state and the common-carry
+    vector. In Q_MINUS mode each entry of the new state is post-checked."""
+    commons = common_carry(ops.partition, partial_carries(state, ops))
     new = [s - r * c for s, r, c in zip(state, ops.radix, commons)]
     for image, representative, coefficient in ops.conversion:
         new[image] += coefficient * commons[representative]
@@ -155,12 +154,4 @@ def apply_carries(
         for e, value in enumerate(new):
             if value < 0:
                 raise NegativeCardinalError(ops.names[e], value, step)
-    return tuple(new)
-
-
-def step_general(
-    state: Vector, ops: StateOperators, mode: Mode = Mode.Q_PLUS, step: int = 0
-) -> tuple[Vector, Vector]:
-    """One step with full grouping; returns the new state and the common-carry vector."""
-    commons = common_carry(ops.partition, partial_carries(state, ops))
-    return apply_carries(state, ops, commons, mode, step), commons
+    return tuple(new), commons

@@ -5,9 +5,8 @@ non-negative exact cardinal, wired together by carry/convert operators
 (:class:`Operator`). Firing an operator removes a carry-weighted amount from
 its operand entities and adds coefficient-scaled transformants to its image
 entities. This module owns the structural rules, the validator that enforces
-them, and two derived views: the configuration matrix, which ``snsq matrix``
-prints, and the carry partition, which groups the matrix backend's carries.
-It also folds a network's schedule into piecewise-constant segments
+them, and one derived view: the configuration matrix, which ``snsq matrix``
+prints. It also folds a network's schedule into piecewise-constant segments
 (:func:`schedule_segments`); a run folds each override once and reads the
 operators of the segment it is in, instead of re-folding steps 0..k on every
 step.
@@ -58,15 +57,6 @@ class Mode(Enum):
     Q_PLUS = "qplus"    # coefficients >= 0; states provably stay non-negative
     Q_MINUS = "qminus"  # negative coefficients allowed; every post-step state
                         # must still be component-wise non-negative
-
-
-class OperatorForm(Enum):
-    """Shape of an operator, derived from its valence (operand and image counts)."""
-
-    L = "L"  # one operand, one image
-    D = "D"  # one operand, several images (distribution)
-    F = "F"  # several operands, one image (fusion)
-    M = "M"  # several operands, several images
 
 
 class NegativeCardinalError(Exception):
@@ -123,9 +113,9 @@ class Image:
 class Operator:
     """A carry/convert operator: drains its operands, feeds its images.
 
-    The form is not stored; it follows from the operand/image counts. A
-    disabled operator contributes zero carry and zero transformants, exactly
-    as if absent for that step.
+    Its shape (one or several operands, one or several images) is not
+    stored; it follows from the counts. A disabled operator contributes zero
+    carry and zero transformants, exactly as if absent for that step.
     """
 
     kind: CarryKind
@@ -136,17 +126,6 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "operands", tuple(self.operands))
         object.__setattr__(self, "images", tuple(self.images))
-
-    @property
-    def valence(self) -> tuple[int, int]:
-        return len(self.operands), len(self.images)
-
-    @property
-    def form(self) -> OperatorForm:
-        w, v = self.valence
-        if w <= 1:
-            return OperatorForm.L if v <= 1 else OperatorForm.D
-        return OperatorForm.F if v <= 1 else OperatorForm.M
 
     def operand_entities(self) -> tuple[int, ...]:
         return tuple(op.entity for op in self.operands)
@@ -425,38 +404,15 @@ def validate_cao(cao: Cao) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class ConfigurationMatrix:
-    """The m-by-m structural summary of a network.
+def build_configuration_matrix(cao: Cao) -> tuple[tuple[Fraction, ...], ...]:
+    """The m-by-m structural summary of the network's declared operators.
 
     The diagonal holds each entity's radix (0 for sinks, entities that are
     operands of no operator); cell (i, j) off the diagonal holds the
     conversion coefficient carried from operand i toward image j (0 when no
     such connection exists). Fan-in operators replicate each image
-    coefficient across all of their operand rows.
-    """
-
-    names: tuple[str, ...]
-    cells: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class CarryPartition:
-    """Grouping of entities for the common-carry minimum.
-
-    ``groups[k]`` is the operand entity tuple of operator ``k`` (declaration
-    order), so fan-in operators yield multi-entity groups and single-operand
-    operators yield singletons. ``sinks`` are the entities in no group; their
-    common carry is pinned to zero.
-    """
-
-    size: int
-    groups: tuple[tuple[int, ...], ...]
-    sinks: tuple[int, ...]
-
-
-def build_configuration_matrix(cao: Cao) -> ConfigurationMatrix:
-    """Derive the configuration matrix of the network's declared operators.
+    coefficient across all of their operand rows. Rows and columns follow
+    ``cao.entity_names()``.
 
     Disabled operators contribute no cells (their operands show radix 0 like
     sinks), exactly as if absent. Declaration order of operators does not
@@ -473,19 +429,7 @@ def build_configuration_matrix(cao: Cao) -> ConfigurationMatrix:
             grid[operand.entity][operand.entity] = operand.radix
             for image in op.images:
                 grid[operand.entity][image.entity] = image.coefficient
-    return ConfigurationMatrix(cao.entity_names(), tuple(tuple(row) for row in grid))
-
-
-def carry_partition(cao: Cao) -> CarryPartition:
-    """Group entities by the operator that drains them; the rest are sinks.
-
-    The partition reflects declared topology only: schedules may retune or
-    disable operators but never move an entity between groups.
-    """
-    groups = tuple(op.operand_entities() for op in cao.operators)
-    grouped = {e for g in groups for e in g}
-    sinks = tuple(e for e in range(cao.size) if e not in grouped)
-    return CarryPartition(cao.size, groups, sinks)
+    return tuple(tuple(row) for row in grid)
 
 
 def _overridden(op: Operator, ov: Override, mode: Mode) -> Operator:

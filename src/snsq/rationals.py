@@ -16,8 +16,6 @@ import re
 import sys
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 

@@ -197,12 +197,12 @@ class EquivalenceReport:
     ``kind`` names what diverged: ``"carry"`` (common-carry vectors),
     ``"state"`` (post-step states), or ``"outcome"`` (one backend raised a
     negative-cardinal violation the other did not, or they blamed different
-    entities/values). ``steps`` counts the steps actually compared.
+    entities/values). ``steps`` counts the steps compared alike, so on a
+    disagreement it is also the index of the step that diverged.
     """
 
     equivalent: bool
     steps: int
-    step: int | None = None
     entity: str | None = None
     kind: str | None = None
     operator_value: Fraction | None = None
@@ -226,7 +226,6 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
             return EquivalenceReport(
                 False,
                 k,
-                step=k,
                 entity=(op_violation or mx_violation)[0],
                 kind="outcome",
                 operator_value=None if op_violation is None else op_violation[1],
@@ -238,7 +237,6 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
                     return EquivalenceReport(
                         False,
                         k,
-                        step=k,
                         entity=names[e],
                         kind=kind,
                         operator_value=op_values[e],

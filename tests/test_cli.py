@@ -357,7 +357,7 @@ class TestCheck:
 
     def test_divergence_exits_3(self, capsys, monkeypatch):
         fake = EquivalenceReport(
-            False, 2, step=2, entity="g", kind="carry",
+            False, 2, entity="g", kind="carry",
             operator_value=None, matrix_value=None,
         )
         monkeypatch.setattr("snsq.cli.runner.check_equivalence", lambda cao, steps: fake)

@@ -123,13 +123,13 @@ class TestDiagnostics:
         text = (
             'cao "t" {\n'
             "    entity a = 1\n"  # missing semicolon
-            "    entity b = 2;\n"  # swallowed by recovery
-            "    op (a:2) -> (b:1);\n"
+            "    entity b = 2;\n"  # parsed: recovery stops at its keyword
+            "    op (b:2) -> (c:1);\n"
             "}\n"
         )
         result = parse(text)
         messages = [d.message for d in result.errors]
-        assert messages == ["expected ';', found 'entity'", "unknown entity 'b'"]
+        assert messages == ["expected ';', found 'entity'", "unknown entity 'c'"]
         assert result.errors[0].span == Span(3, 5, 6)
         assert result.errors[1].span == Span(4, 18, 1)
 
@@ -268,6 +268,10 @@ RECOVERY_CASES = [
         _err("expected '{', found 'foo'", 2, 3, 3, ("{",)),  # skips through 'foo = 1;'
         _err("unknown entity 'zz'", 4, 16, 2),
     ]),
+    ("header-stray-word", 'cao "t" bogus {\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected '{', found 'bogus'", 1, 9, 5, ("{",)),  # skips through the body's '{'
+        _err("unknown entity 'zz'", 3, 16, 2),
+    ]),
     ("body-stray-statement", _body("foo = 1;"), [
         _err("expected 'entity', 'op', 'at', or '}', found 'foo'", 4, 3, 3, ("entity", "op", "at", "}")),
         NEXT,
@@ -284,7 +288,8 @@ RECOVERY_CASES = [
     ]),
     ("entity-missing-semicolon", _body("entity a = 1"), [  # the entity still counts: a duplicate
         _err("duplicate entity name 'a'", 4, 10, 1),
-        _err("expected ';', found 'op'", 5, 3, 2, (";",)),
+        _err("expected ';', found 'op'", 5, 3, 2, (";",)),  # resumes at 'op'
+        NEXT,
     ]),
     ("op-missing-open-paren", _body("op a:2) -> (b:1);"), [_err("expected '(', found 'a'", 4, 6, 1, ("(",)), NEXT]),
     ("operand-missing-name", _body("op (:2) -> (b:1);"), [
@@ -307,7 +312,16 @@ RECOVERY_CASES = [
         _err("expected a rational value, found ')'", 4, 18, 1, ("NUMBER",)), NEXT,
     ]),
     ("image-missing-close-paren", _body("op (a:2) -> (b:1;"), [_err("expected ')', found ';'", 4, 19, 1, (")",)), NEXT]),
-    ("op-missing-semicolon", _body("op (a:2) -> (b:1)"), [_err("expected ';', found 'op'", 5, 3, 2, (";",))]),
+    ("op-missing-semicolon", _body("op (a:2) -> (b:1)"), [_err("expected ';', found 'op'", 5, 3, 2, (";",)), NEXT]),
+    ("missing-semicolon-before-at", _body("entity c = 1 at 1 { op 0 radix zz = 1; }"), [
+        _err("expected ';', found 'at'", 4, 16, 2, (";",)),  # the block is parsed, its '}' closes it
+        _err("unknown entity 'zz'", 4, 34, 2),
+        NEXT,
+    ]),
+    ("body-stray-group", _body("2 { op 0 enabled = false; }"), [
+        _err("expected 'entity', 'op', 'at', or '}', found '2'", 4, 3, 1, ("entity", "op", "at", "}")),
+        NEXT,  # the '{ ... }' group is skipped whole; its '}' does not close the network
+    ]),
     ("at-missing-step", _body("at { op 0 enabled = false; op 0 radix zz = 1; }"), [
         _err("expected a step index, found '{'", 4, 6, 1, ("NUMBER",)),  # the block is still parsed
         _err("unknown entity 'zz'", 4, 41, 2),
@@ -363,7 +377,8 @@ RECOVERY_CASES = [
         NEXT,
     ]),
     ("enabled-missing-semicolon", _body("at 1 { op 0 enabled = false op 0 radix zz = 1; }"), [
-        _err("expected ';', found 'op'", 4, 31, 2, (";",)),
+        _err("expected ';', found 'op'", 4, 31, 2, (";",)),  # resumes at 'op'
+        _err("unknown entity 'zz'", 4, 42, 2),
         NEXT,
     ]),
     ("override-bad-field", _body("at 1 { op 0 speed a = 1; op 0 radix zz = 1; }"), [

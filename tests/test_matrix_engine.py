@@ -18,7 +18,6 @@ from snsq.matrix_engine import (
 from snsq.model import (
     Cao,
     CarryKind,
-    CarryPartition,
     Entity,
     Image,
     Mode,
@@ -26,6 +25,7 @@ from snsq.model import (
     Operand,
     Operator,
     Override,
+    schedule_segments,
 )
 from snsq.op_engine import common_carry_vector, step
 from snsq.runner import EquivalenceReport, check_equivalence
@@ -77,8 +77,7 @@ class TestBuildOperators:
     def test_ref7_floor_mask_and_partition(self):
         ops = build_operators(build_ref7())
         assert ops.floor_mask == (False,) * 7
-        assert ops.partition.groups == ((0, 1), (2,), (3,), (4, 5))
-        assert ops.partition.sinks == (6,)
+        assert ops.partition == ((0, 1), (2,), (3,), (4, 5))  # h, entity 6, is a sink
 
     def test_floor_mask_marks_floor_operands(self):
         ops = build_operators(build_signed_inflow())
@@ -91,14 +90,47 @@ class TestCarries:
         assert partial_carries((Fr(21), Fr(27), Fr(5)), ops) == (2, 3, 0)
 
     def test_group_minimum_and_sink_pinning(self):
-        partition = CarryPartition(4, ((0, 1),), (2, 3))
+        # Sinks are pinned before the minimum, by their zero inverse radix
+        # (TestSinkCarries); common_carry only equalizes each group.
         carries = (Fr(5), Fr(3), Fr(9), Fr(7))
-        assert common_carry(partition, carries) == (3, 3, 0, 0)
+        assert common_carry(((0, 1),), carries) == (3, 3, 9, 7)
 
     def test_ref7_step0_commons(self):
         ops = build_operators(build_ref7())
         commons = common_carry(ops.partition, partial_carries(REF7_STATES[0], ops))
         assert commons == REF7_CARRIES[0]
+
+
+class TestSinkCarries:
+    """A sink, or an operand of a disabled operator, has a zero inverse
+    radix, so its partial carry is 0 before any group minimum is taken."""
+
+    def test_sinks_and_disabled_operands_carry_nothing(self):
+        rng = random.Random(11)
+        networks = [random_cao(rng, with_schedule=True, name=f"sink{case}") for case in range(60)]
+        networks += [wide_cao(rng, with_schedule=True, name=f"wide{case}") for case in range(4)]
+        networks.append(Cao("sinks", (Entity(0, "a", 1), Entity(1, "b", 2))))  # no operator at all
+        held = disabled = 0  # checks of an entity holding a non-zero cardinal; disabled operators seen
+        for cao in networks:
+            segments = schedule_segments(cao)
+            state = cao.initial_state()
+            for k in range(8):
+                if k == 0 or k in cao.schedule:
+                    _, operators = next(segments)
+                    ops = build_operators(cao, operators)
+                    drained = {e for op in operators if op.enabled for e in op.operand_entities()}
+                    idle = [e for e in range(cao.size) if e not in drained]
+                    disabled += sum(not op.enabled for op in operators)
+                carries = partial_carries(state, ops)
+                commons = common_carry(ops.partition, carries)
+                for e in idle:
+                    assert carries[e] == 0 and commons[e] == 0, (cao.name, k, e)
+                    held += state[e] != 0
+                try:
+                    state, _ = step_general(state, ops, cao.mode, k)
+                except NegativeCardinalError:
+                    break
+        assert held > 100 and disabled > 10, (held, disabled)
 
 
 class TestSteps:
@@ -153,7 +185,7 @@ class TestSteps:
         dead = effective_operators(cao, 1)
         assert live.radix == (3, 0) and dead.radix == (0, 0)
         assert live.conversion == ((1, 0, 1),) and dead.conversion == ()
-        assert dead.partition.groups == live.partition.groups == ((0,),)
+        assert dead.partition == live.partition == ((0,),)
         state, commons = step_general((Fr(9), Fr(0)), dead, cao.mode, 1)
         assert state == (9, 0) and commons == (0, 0)
 

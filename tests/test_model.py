@@ -12,12 +12,10 @@ from snsq.model import (
     Mode,
     Operand,
     Operator,
-    OperatorForm,
     Override,
     ScheduleError,
     apply_schedule,
     build_configuration_matrix,
-    carry_partition,
     schedule_segments,
     validate_cao,
 )
@@ -36,21 +34,6 @@ def two_entities(**kwargs) -> Cao:
 
 def codes(cao: Cao) -> set[str]:
     return {v.code for v in validate_cao(cao)}
-
-
-class TestForms:
-    @pytest.mark.parametrize(
-        "n_operands,n_images,form",
-        [(1, 1, OperatorForm.L), (1, 2, OperatorForm.D), (2, 1, OperatorForm.F), (3, 2, OperatorForm.M)],
-    )
-    def test_form_follows_valence(self, n_operands, n_images, form):
-        op = Operator(
-            RATIONAL,
-            tuple(Operand(e, 1) for e in range(n_operands)),
-            tuple(Image(9 + e, 1) for e in range(n_images)),
-        )
-        assert op.form is form
-        assert op.valence == (n_operands, n_images)
 
 
 class TestValidation:
@@ -259,9 +242,8 @@ REF7_GRID = (
 class TestDerivedViews:
     def test_configuration_matrix_of_ref7(self):
         matrix = build_configuration_matrix(build_ref7())
-        assert matrix.names == ("i", "j", "d", "s", "g", "u", "h")
-        assert matrix.cells == tuple(tuple(Fr(c) for c in row) for row in REF7_GRID)
-        assert matrix.cells[0][0] == 10 and matrix.cells[6][6] == 0
+        assert matrix == tuple(tuple(Fr(c) for c in row) for row in REF7_GRID)
+        assert matrix[0][0] == 10 and matrix[6][6] == 0
 
     def test_disabled_operator_leaves_no_cells(self):
         cao = build_ref7()
@@ -269,19 +251,8 @@ class TestDerivedViews:
         ops[0] = Operator(ops[0].kind, ops[0].operands, ops[0].images, enabled=False)
         matrix = build_configuration_matrix(replace(cao, operators=tuple(ops)))
         for row in (0, 1):  # i and j rows go blank
-            assert all(cell == 0 for cell in matrix.cells[row])
-        assert matrix.cells[2][2] == 8  # the rest is untouched
-
-    def test_carry_partition_of_ref7(self):
-        part = carry_partition(build_ref7())
-        assert part.groups == ((0, 1), (2,), (3,), (4, 5))
-        assert part.sinks == (6,)
-        assert part.size == 7
-
-    def test_sinks_only_network(self):
-        part = carry_partition(Cao("t", (Entity(0, "a", 1), Entity(1, "b", 2))))
-        assert part.groups == ()
-        assert part.sinks == (0, 1)
+            assert all(cell == 0 for cell in matrix[row])
+        assert matrix[2][2] == 8  # the rest is untouched
 
 
 class TestSchedule:

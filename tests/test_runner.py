@@ -409,7 +409,7 @@ class TestEquivalence:
         report = check_equivalence(build_ref7(), 3)
         assert not report.equivalent
         assert report.kind == "state"
-        assert report.step == 0 and report.entity == "i"
+        assert report.steps == 0 and report.entity == "i"
         assert report.operator_value == REF7_STATES[1][0] + 1
         assert report.matrix_value == REF7_STATES[1][0]
 
