@@ -397,25 +397,31 @@ class _Parser:
         name_tok = self.expect("STRING", "a quoted network name")
         if name_tok is not None:
             b.name = str(name_tok.value)
-        if self.at("KEYWORD", "mode"):
-            self.advance()
-            if self.at("KEYWORD", "qplus") or self.at("KEYWORD", "qminus"):
-                b.mode = Mode(self.advance().text)
-            else:
-                self.unexpected(("qplus", "qminus"), " after 'mode'")
-        if self.at("KEYWORD", "kind"):
-            self.advance()
-            if self.at("KEYWORD", "rational") or self.at("KEYWORD", "integer"):
-                b.default_kind = CarryKind(self.advance().text)
-            else:
-                self.unexpected(("rational", "integer"), " after 'kind'")
         body = self.block = {"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}
+        b.mode = self.option("mode", Mode) or b.mode
+        b.default_kind = self.option("kind", CarryKind) or b.default_kind
         if self.expect("{", "'{'") is None and not self.starts(body):
             self.recover(header=True)
         self.statements(body, "", b)
         if not self.at("EOF"):
             self.error("unexpected text after the closing '}'")
         return b
+
+    def option(self, keyword: str, values: type[Mode | CarryKind]) -> Mode | CarryKind | None:
+        """The ``values`` member named after an optional header ``keyword``, or
+        None. A bad word is reported and skipped; 'kind', a statement keyword
+        of the body, punctuation or a string is reported and left in place."""
+        if not self.at("KEYWORD", keyword):
+            return None
+        self.advance()
+        choices = tuple(v.value for v in values)
+        if self.cur.type == "KEYWORD" and self.cur.text in choices:
+            return values(self.advance().text)
+        self.unexpected(choices, f" after '{keyword}'")
+        word = self.cur.type in ("NAME", "NUMBER", "KEYWORD")
+        if word and not (self.at("KEYWORD", "kind") or self.starts(self.block)):
+            self.advance()
+        return None
 
     def parse_entity(self, b: _Builder) -> None:
         self.advance()  # entity
@@ -554,11 +560,9 @@ def parse(text: str) -> ParseResult:
 
 
 def _serializable_name(name: str) -> bool:
-    if not name or name in KEYWORDS:
-        return False
-    if not (name[0].isalpha() or name[0] == "_"):
-        return False
-    return all(c.isalnum() or c == "_" for c in name)
+    """Whether the lexer reads ``name`` back as one NAME token."""
+    first = next(_lex(name, []))
+    return first.type == "NAME" and first.text == name
 
 
 def serialize(cao: Cao) -> str:

@@ -6,10 +6,11 @@ non-negative exact cardinal, wired together by carry/convert operators
 its operand entities and adds coefficient-scaled transformants to its image
 entities. This module owns the structural rules, the validator that enforces
 them, and one derived view: the configuration matrix, which ``snsq matrix``
-prints. It also folds a network's schedule into piecewise-constant segments
-(:func:`schedule_segments`); a run folds each override once and reads the
-operators of the segment it is in, instead of re-folding steps 0..k on every
-step.
+prints. It also folds a network's schedule into segments
+(:func:`schedule_segments`), each ``(start, stop, operators)`` with the
+operators holding for ``start <= k < stop``. The rules an override must keep
+are written once, in ``_override_violation``: the validator reports a broken
+override, and the fold raises it as a ScheduleError.
 
 Structural rules enforced by :func:`validate_cao`:
 
@@ -243,9 +244,6 @@ def validate_cao(cao: Cao) -> list[Violation]:
                 )
             )
 
-    def ent_name(e: int) -> str:
-        return cao.entities[e].name if 0 <= e < m else f"#{e}"
-
     outgoing: dict[int, int] = {}  # entity index -> operator that drains it
     for oi, op in enumerate(cao.operators):
         at = ("operator", oi)
@@ -267,12 +265,13 @@ def validate_cao(cao: Cao) -> list[Violation]:
                     )
                 )
                 continue
+            name = cao.entities[e].name
             if operand.radix <= 0:
                 out.append(
                     Violation(
                         "non-positive-radix",
                         f"non-positive radix {format_rational(operand.radix)} "
-                        f"for operand '{ent_name(e)}' of operator {oi}",
+                        f"for operand '{name}' of operator {oi}",
                         (*at, "radix"),
                     )
                 )
@@ -280,7 +279,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                 out.append(
                     Violation(
                         "duplicate-operand",
-                        f"duplicate operand '{ent_name(e)}' in operator {oi}",
+                        f"duplicate operand '{name}' in operator {oi}",
                         at,
                     )
                 )
@@ -290,7 +289,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                 out.append(
                     Violation(
                         "multiple-outgoing",
-                        f"entity '{ent_name(e)}' has multiple outgoing operators "
+                        f"entity '{name}' has multiple outgoing operators "
                         f"(already an operand of operator {outgoing[e]})",
                         at,
                     )
@@ -311,16 +310,17 @@ def validate_cao(cao: Cao) -> list[Violation]:
                     )
                 )
                 continue
+            name = cao.entities[e].name
             if e in local_operands:
                 out.append(
                     Violation(
-                        "self-loop", f"operator {oi} maps entity '{ent_name(e)}' to itself", at
+                        "self-loop", f"operator {oi} maps entity '{name}' to itself", at
                     )
                 )
             if e in local_images:
                 out.append(
                     Violation(
-                        "duplicate-image", f"duplicate image '{ent_name(e)}' in operator {oi}", at
+                        "duplicate-image", f"duplicate image '{name}' in operator {oi}", at
                     )
                 )
             local_images.add(e)
@@ -329,7 +329,7 @@ def validate_cao(cao: Cao) -> list[Violation]:
                     Violation(
                         "negative-coefficient",
                         f"negative coefficient {format_rational(image.coefficient)} "
-                        f"toward image '{ent_name(e)}' (qplus mode forbids signs)",
+                        f"toward image '{name}' (qplus mode forbids signs)",
                         (*at, "coefficient"),
                     )
                 )
@@ -342,65 +342,9 @@ def validate_cao(cao: Cao) -> list[Violation]:
                 )
             )
         for slot, ov in enumerate(cao.schedule[step]):
-            at = ("schedule", step, slot)
-            if not 0 <= ov.operator < len(cao.operators):
-                out.append(
-                    Violation(
-                        "schedule-bad-operator",
-                        f"schedule step {step} targets unknown operator {ov.operator}",
-                        (*at, "operator"),
-                    )
-                )
-                continue
-            op = cao.operators[ov.operator]
-            if ov.field == "enabled":
-                if not isinstance(ov.value, bool):
-                    out.append(
-                        Violation(
-                            "schedule-bad-value",
-                            f"schedule step {step}: enabled override needs a boolean",
-                            (*at, "value"),
-                        )
-                    )
-            elif ov.field == "radix":
-                if ov.entity not in op.operand_entities():
-                    out.append(
-                        Violation(
-                            "schedule-not-operand",
-                            f"schedule step {step}: '{ent_name(ov.entity)}' is not an "
-                            f"operand of operator {ov.operator}",
-                            (*at, "entity"),
-                        )
-                    )
-                elif ov.value <= 0:
-                    out.append(
-                        Violation(
-                            "schedule-non-positive-radix",
-                            f"schedule step {step}: non-positive radix "
-                            f"{format_rational(ov.value)} for operand "
-                            f"'{ent_name(ov.entity)}'",
-                            (*at, "value"),
-                        )
-                    )
-            elif ov.entity not in op.image_entities():  # coeff
-                out.append(
-                    Violation(
-                        "schedule-not-image",
-                        f"schedule step {step}: '{ent_name(ov.entity)}' is not an "
-                        f"image of operator {ov.operator}",
-                        (*at, "entity"),
-                    )
-                )
-            elif cao.mode is Mode.Q_PLUS and ov.value < 0:
-                out.append(
-                    Violation(
-                        "schedule-negative-coefficient",
-                        f"schedule step {step}: negative coefficient "
-                        f"{format_rational(ov.value)} toward image "
-                        f"'{ent_name(ov.entity)}' (qplus mode forbids signs)",
-                        (*at, "value"),
-                    )
-                )
+            violation = _override_violation(cao, step, slot, ov)
+            if violation is not None:
+                out.append(violation)
     return out
 
 
@@ -432,67 +376,99 @@ def build_configuration_matrix(cao: Cao) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in grid)
 
 
-def _overridden(op: Operator, ov: Override, mode: Mode) -> Operator:
+def _entity_name(cao: Cao, e: int) -> str:
+    return cao.entities[e].name if e in range(cao.size) else f"#{e}"
+
+
+def _override_violation(cao: Cao, step: int, slot: int, ov: Override) -> Violation | None:
+    """The rule that override ``slot`` of schedule step ``step`` breaks, or None.
+
+    Overrides change values, never which entities an operator reads or feeds,
+    so checking against the declared operators holds for every segment. A
+    message is built only for a broken override.
+    """
+    at = ("schedule", step, slot)
+    if not 0 <= ov.operator < len(cao.operators):
+        problem = f"schedule step {step} targets unknown operator {ov.operator}"
+        return Violation("schedule-bad-operator", problem, (*at, "operator"))
+    op, e = cao.operators[ov.operator], ov.entity
     if ov.field == "enabled":
-        return replace(op, enabled=bool(ov.value))
-    if ov.field == "radix":
+        if not isinstance(ov.value, bool):
+            problem = f"schedule step {step}: enabled override needs a boolean"
+            return Violation("schedule-bad-value", problem, (*at, "value"))
+    elif ov.field == "radix":
+        if e not in op.operand_entities():
+            name = _entity_name(cao, e)
+            problem = f"schedule step {step}: '{name}' is not an operand of operator {ov.operator}"
+            return Violation("schedule-not-operand", problem, (*at, "entity"))
         if ov.value <= 0:
-            raise ScheduleError(f"non-positive radix override {format_rational(ov.value)}")
-        for slot, operand in enumerate(op.operands):
-            if operand.entity == ov.entity:
-                new = op.operands[:slot] + (replace(operand, radix=ov.value),) + op.operands[slot + 1 :]
-                return replace(op, operands=new)
-        raise ScheduleError(f"entity {ov.entity} is not an operand of the operator")
-    if mode is Mode.Q_PLUS and ov.value < 0:
-        raise ScheduleError(f"negative coefficient override {format_rational(ov.value)}")
-    for slot, image in enumerate(op.images):
-        if image.entity == ov.entity:
-            new = op.images[:slot] + (replace(image, coefficient=ov.value),) + op.images[slot + 1 :]
-            return replace(op, images=new)
-    raise ScheduleError(f"entity {ov.entity} is not an image of the operator")
+            radix, name = format_rational(ov.value), _entity_name(cao, e)
+            problem = f"schedule step {step}: non-positive radix {radix} for operand '{name}'"
+            return Violation("schedule-non-positive-radix", problem, (*at, "value"))
+    elif e not in op.image_entities():  # coeff
+        name = _entity_name(cao, e)
+        problem = f"schedule step {step}: '{name}' is not an image of operator {ov.operator}"
+        return Violation("schedule-not-image", problem, (*at, "entity"))
+    elif cao.mode is Mode.Q_PLUS and ov.value < 0:
+        coefficient, name = format_rational(ov.value), _entity_name(cao, e)
+        problem = (
+            f"schedule step {step}: negative coefficient {coefficient} toward image '{name}' "
+            "(qplus mode forbids signs)"
+        )
+        return Violation("schedule-negative-coefficient", problem, (*at, "value"))
+    return None
 
 
-def schedule_segments(cao: Cao) -> Iterator[tuple[int, tuple[Operator, ...]]]:
-    """The schedule as ``(first_step, operators)`` segments, in step order.
+def _overridden(op: Operator, ov: Override) -> Operator:
+    """``op`` with ``ov`` applied; ``ov`` breaks no rule of ``_override_violation``."""
+    if ov.field == "enabled":
+        return replace(op, enabled=ov.value)
+    e, value = ov.entity, ov.value
+    if ov.field == "radix":
+        new = tuple(Operand(e, value) if o.entity == e else o for o in op.operands)
+        return replace(op, operands=new)
+    new = tuple(Image(e, value) if i.entity == e else i for i in op.images)
+    return replace(op, images=new)
 
-    A segment's operators hold from its first step until the next segment
-    begins. Overrides at steps 0 and below fold into the step-0 segment;
-    every later schedule step opens a segment of its own, so a consumer
-    stepping k = 0, 1, 2, ... takes the next segment exactly when k is 0 or
-    a schedule step. Each override is folded once, in step order then slot
-    order, and only when the consumer asks for its segment: an override the
-    consumer never reaches never raises. An unscheduled network yields the
-    single segment ``(0, cao.operators)``. Structurally inapplicable
-    overrides raise ScheduleError; a validated network never triggers that.
+
+def schedule_segments(cao: Cao) -> Iterator[tuple[int, int | None, tuple[Operator, ...]]]:
+    """The schedule as ``(start, stop, operators)`` segments, in step order.
+
+    A segment's operators hold for ``start <= k < stop``; the last segment's
+    ``stop`` is None, and each ``stop`` is the next segment's ``start``, so
+    the segments tile the steps 0, 1, 2, .... Overrides at steps 0 and below
+    fold into the step-0 segment; every later schedule step starts a segment
+    of its own. Each override is folded once, in step order then slot order,
+    and only when the consumer asks for its segment: an override the consumer
+    never reaches never raises. An unscheduled network yields the single
+    segment ``(0, None, cao.operators)``. An override that breaks a rule of
+    :func:`validate_cao` raises ScheduleError with the validator's message;
+    a validated network never does.
     """
     keys = sorted(cao.schedule)
     ops = cao.operators
     start = folded = 0
     while True:
         while folded < len(keys) and keys[folded] <= start:
-            for ov in cao.schedule[keys[folded]]:
+            step = keys[folded]
+            for slot, ov in enumerate(cao.schedule[step]):
+                violation = _override_violation(cao, step, slot, ov)
+                if violation is not None:
+                    raise ScheduleError(violation.message)
                 i = ov.operator
-                if not 0 <= i < len(ops):
-                    raise ScheduleError(
-                        f"unknown operator {i} in schedule step {keys[folded]}"
-                    )
-                ops = ops[:i] + (_overridden(ops[i], ov, cao.mode),) + ops[i + 1 :]
+                ops = ops[:i] + (_overridden(ops[i], ov),) + ops[i + 1 :]
             folded += 1
-        yield start, ops
-        if folded == len(keys):
+        stop = keys[folded] if folded < len(keys) else None
+        yield start, stop, ops
+        if stop is None:
             return
-        start = keys[folded]
+        start = stop
 
 
 def apply_schedule(cao: Cao, step: int) -> tuple[Operator, ...]:
-    """Effective operator parameters at the given step: the operators of the
-    last :func:`schedule_segments` segment that begins at or before it.
-
-    Overrides persist until overridden again, and the base network is never
-    modified. Without a schedule this returns ``cao.operators`` itself.
-    """
-    segments = schedule_segments(cao)
-    _, ops = next(segments)
-    for _ in range(sum(0 < k <= step for k in cao.schedule)):
-        _, ops = next(segments)
-    return ops
+    """The operators in effect at ``step``: those of the :func:`schedule_segments`
+    segment that holds it (a step below 0 reads the first). The base network is
+    never modified; without a schedule this is ``cao.operators`` itself."""
+    for _, stop, ops in schedule_segments(cao):
+        if stop is None or step < stop:
+            return ops

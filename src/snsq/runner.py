@@ -28,10 +28,10 @@ hash per visited state.
 lockstep and reports the first step, entity, and values where they disagree;
 on a valid network they never should.
 
-Both consume one stepping core, ``_stepper``. It is the only code that folds
-the schedule (a ``model.schedule_segments`` segment at a time, as k reaches
-it), builds the matrix operators (once per segment, matrix backend only) and
-calls the engines.
+Both consume one stepping core, ``_stepper``, the only code that folds the
+schedule: it steps k through each ``model.schedule_segments`` segment up to
+the segment's end, never reading the schedule itself. It builds the matrix
+operators once per segment (matrix backend only) and calls the engines.
 """
 
 from __future__ import annotations
@@ -93,23 +93,21 @@ def _stepper(cao: Cao, matrix: bool):
     a backend ("matrix" only when ``matrix`` is true), valid until the next is
     drawn. It returns (next state, common carries, firings, None), or (None,
     None, (), (entity, value)) for a step that would drive that entity negative."""
-    segments = schedule_segments(cao)
-    for k in itertools.count():
-        if k == 0 or k in cao.schedule:
-            _, ops = next(segments)
-            matrix_ops = matrix_engine.build_operators(cao, ops) if matrix else None
+    for start, stop, ops in schedule_segments(cao):
+        matrix_ops = matrix_engine.build_operators(cao, ops) if matrix else None
+        for k in itertools.count(start) if stop is None else range(start, stop):
 
-        def take(state: State, backend: str):
-            try:
-                if backend == "operator":
-                    nxt, firings = op_engine.step(state, cao, k, ops)
-                    return nxt, op_engine.common_carry_vector(firings, cao.size), firings, None
-                nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
-                return nxt, commons, (), None
-            except NegativeCardinalError as err:
-                return None, None, (), (err.entity, err.value)
+            def take(state: State, backend: str):
+                try:
+                    if backend == "operator":
+                        nxt, firings = op_engine.step(state, cao, k, ops)
+                        return nxt, op_engine.common_carry_vector(firings, cao.size), firings, None
+                    nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
+                    return nxt, commons, (), None
+                except NegativeCardinalError as err:
+                    return None, None, (), (err.entity, err.value)
 
-        yield take
+            yield take
 
 
 def _first_visit(cao: Cao, backend: str, state: State, k: int) -> int | None:

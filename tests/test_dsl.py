@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLES, build_ref7, build_signed_inflow
 from corpus import random_cao, wide_cao, wide_override
-from snsq.dsl import Diagnostic, Span, parse, serialize
+from snsq.dsl import KEYWORDS, Diagnostic, Span, _Builder, _parse, _serializable_name, parse, serialize
 from snsq.model import (
     Cao,
     CarryKind,
@@ -234,6 +234,10 @@ class TestDiagnostics:
         assert any("expected 'qplus' or 'qminus'" in d.message for d in result.errors)
         assert result.errors[0].expected == ("qplus", "qminus")
 
+    def test_a_bad_mode_word_leaves_the_kind_clause(self):
+        builder = _parse('cao "t" mode qfoo kind integer { }', [], _Builder())
+        assert builder.default_kind is CarryKind.INTEGER_FLOOR
+
     def test_empty_input(self):
         result = parse("")
         assert not result.ok
@@ -271,6 +275,22 @@ RECOVERY_CASES = [
     ("header-stray-word", 'cao "t" bogus {\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
         _err("expected '{', found 'bogus'", 1, 9, 5, ("{",)),  # skips through the body's '{'
         _err("unknown entity 'zz'", 3, 16, 2),
+    ]),
+    ("header-bad-mode", 'cao "t" mode qfoo {\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected 'qplus' or 'qminus' after 'mode', found 'qfoo'", 1, 14, 4, ("qplus", "qminus")),
+        _err("unknown entity 'zz'", 3, 16, 2),  # the bad word is skipped, so '{' opens the body
+    ]),
+    ("header-bad-kind", 'cao "t" kind wide {\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected 'rational' or 'integer' after 'kind', found 'wide'", 1, 14, 4, ("rational", "integer")),
+        _err("unknown entity 'zz'", 3, 16, 2),
+    ]),
+    ("header-bad-mode-then-kind", 'cao "t" mode qfoo kind integer {\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected 'qplus' or 'qminus' after 'mode', found 'qfoo'", 1, 14, 4, ("qplus", "qminus")),
+        _err("unknown entity 'zz'", 3, 16, 2),  # the kind clause is read, not skipped
+    ]),
+    ("header-mode-missing-word", 'cao "t" mode kind integer {\n  entity a, b = 1;\n  op (b:1) -> (zz:1);\n}\n', [
+        _err("expected 'qplus' or 'qminus' after 'mode', found 'kind'", 1, 14, 4, ("qplus", "qminus")),
+        _err("unknown entity 'zz'", 3, 16, 2),  # 'kind' is kept for the kind clause
     ]),
     ("body-stray-statement", _body("foo = 1;"), [
         _err("expected 'entity', 'op', 'at', or '}', found 'foo'", 4, 3, 3, ("entity", "op", "at", "}")),
@@ -591,6 +611,41 @@ class TestSerialization:
         )
         with pytest.raises(ValueError):
             serialize(disabled)
+
+
+def identifier_rule(name):
+    """The NAME rule written out by character: a letter or '_', then letters,
+    digits or '_', and no keyword."""
+    if not name or name in KEYWORDS or not (name[0].isalpha() or name[0] == "_"):
+        return False
+    return all(c.isalnum() or c == "_" for c in name)
+
+
+def assert_names_follow_the_lexer(code_points):
+    for c in map(chr, code_points):
+        for name in (c, "a" + c, c + "a", "_" + c):
+            assert _serializable_name(name) == identifier_rule(name), repr(name)
+
+
+class TestNameRule:
+    """``serialize`` accepts exactly the entity names the lexer reads as one NAME."""
+
+    def test_edge_names(self):
+        for name in ["", *sorted(KEYWORDS), "a b", "a#", "a\n", " a", "0day", "é2", "a²", "²"]:
+            assert _serializable_name(name) == identifier_rule(name), repr(name)
+
+    def test_a_slice_of_the_basic_plane(self):
+        assert_names_follow_the_lexer(range(0x3000))
+
+    def test_accepted_names_round_trip(self):
+        names = [n for n in map(chr, range(0x80, 0x3000, 7)) if _serializable_name(n)]
+        assert len(names) > 300
+        cao = Cao("names", tuple(Entity(i, name, i) for i, name in enumerate(names)))
+        assert parse(serialize(cao)).cao == cao
+
+    @pytest.mark.slow
+    def test_every_code_point(self):
+        assert_names_follow_the_lexer(range(sys.maxunicode + 1))
 
 
 SAMPLE_TEXTS = tuple(path.read_text(encoding="utf-8") for path in sorted(SAMPLES.glob("*.sns")))

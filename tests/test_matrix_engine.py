@@ -112,11 +112,11 @@ class TestSinkCarries:
         networks.append(Cao("sinks", (Entity(0, "a", 1), Entity(1, "b", 2))))  # no operator at all
         held = disabled = 0  # checks of an entity holding a non-zero cardinal; disabled operators seen
         for cao in networks:
-            segments = schedule_segments(cao)
+            segments, stop = schedule_segments(cao), 0
             state = cao.initial_state()
             for k in range(8):
-                if k == 0 or k in cao.schedule:
-                    _, operators = next(segments)
+                if k == stop:  # the last segment's stop is None
+                    _, stop, operators = next(segments)
                     ops = build_operators(cao, operators)
                     drained = {e for op in operators if op.enabled for e in op.operand_entities()}
                     idle = [e for e in range(cao.size) if e not in drained]

@@ -1,9 +1,14 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_ref7
+from corpus import random_cao, wide_cao
+from snsq import model
 from snsq.model import (
     Cao,
     CarryKind,
@@ -316,10 +321,10 @@ class TestScheduleSegments:
             schedule={-1: (new_radix(9),), 0: (new_radix(3),), 2: (new_radix(4),), 7: (new_radix(5),)}
         )
         segments = list(schedule_segments(cao))
-        assert [start for start, _ in segments] == [0, 2, 7]
-        assert [ops[0].operands[0].radix for _, ops in segments] == [3, 4, 5]
+        assert [(start, stop) for start, stop, _ in segments] == [(0, 2), (2, 7), (7, None)]
+        assert [ops[0].operands[0].radix for _, _, ops in segments] == [3, 4, 5]
         for step, index in [(0, 0), (1, 0), (2, 1), (6, 1), (7, 2), (50, 2)]:
-            assert apply_schedule(cao, step) == segments[index][1]
+            assert apply_schedule(cao, step) == segments[index][2]
 
     def test_overrides_at_one_step_apply_in_slot_order(self):
         cao = two_entities(
@@ -333,8 +338,8 @@ class TestScheduleSegments:
                 )
             }
         )
-        (_, base), (start, ops) = schedule_segments(cao)
-        assert base is cao.operators and start == 1
+        (_, _, base), (start, stop, ops) = schedule_segments(cao)
+        assert base is cao.operators and (start, stop) == (1, None)
         assert ops[0].operands[0].radix == 8
         assert ops[0].images[0].coefficient == 5
         assert ops[0].enabled
@@ -347,14 +352,14 @@ class TestScheduleSegments:
             }
         )
         segments = list(schedule_segments(cao))
-        assert [(start, ops[0].enabled) for start, ops in segments] == [(0, True), (2, False), (5, True)]
-        assert segments[2][1] == cao.operators
+        assert [(start, ops[0].enabled) for start, _, ops in segments] == [(0, True), (2, False), (5, True)]
+        assert segments[2][2] == cao.operators
 
     def test_unscheduled_network_is_one_segment(self):
         cao = two_entities()
         segments = list(schedule_segments(cao))
-        assert segments == [(0, cao.operators)]
-        assert segments[0][1] is cao.operators
+        assert segments == [(0, None, cao.operators)]
+        assert segments[0][2] is cao.operators
 
     def test_a_segment_is_folded_only_when_asked_for(self):
         # entity 1 is not an operand of operator 0, so step 3 cannot apply
@@ -367,3 +372,56 @@ class TestScheduleSegments:
             next(segments)
         with pytest.raises(ScheduleError):
             apply_schedule(cao, 3)
+
+
+# One override per rule of ``model._override_violation``, each at step 1 of
+# ``two_entities`` (a drained by operator 0, which feeds b; qplus).
+OVERRIDE_RULES = [
+    ("schedule-bad-operator", Override(9, "enabled", None, False)),
+    ("schedule-bad-value", Override(0, "enabled", None, 1)),
+    ("schedule-not-operand", Override(0, "radix", 1, Fr(2))),
+    ("schedule-non-positive-radix", Override(0, "radix", 0, Fr(0))),
+    ("schedule-not-image", Override(0, "coeff", 0, Fr(2))),
+    ("schedule-negative-coefficient", Override(0, "coeff", 1, Fr(-2))),
+    ("schedule-not-image", Override(0, "coeff", None, Fr(2))),  # no entity: a violation, not a crash
+]
+
+
+class TestOverrideRules:
+    """The validator and the fold read one rule set."""
+
+    @pytest.mark.parametrize("code, override", OVERRIDE_RULES)
+    def test_the_fold_refuses_what_the_validator_reports(self, code, override):
+        cao = two_entities(schedule={1: (override,)})
+        (violation,) = validate_cao(cao)
+        assert violation.code == code
+        assert apply_schedule(cao, 0) is cao.operators  # step 1 is not folded yet
+        with pytest.raises(ScheduleError) as raised:
+            list(schedule_segments(cao))
+        assert str(raised.value) == violation.message
+
+
+def folded_at(cao, k):
+    """The operators at step k, folded from scratch: every override at a step
+    at or below k, in step order then slot order."""
+    ops = list(cao.operators)
+    for step in sorted(cao.schedule):
+        if step <= k:
+            for ov in cao.schedule[step]:
+                ops[ov.operator] = model._overridden(ops[ov.operator], ov)
+    return tuple(ops)
+
+
+class TestSegmentContract:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_segments_tile_the_steps(self, seed, wide):
+        rng = random.Random(seed)
+        cao = (wide_cao if wide else random_cao)(rng, with_schedule=True)
+        segments = list(schedule_segments(cao))
+        assert segments[0][0] == 0 and segments[-1][1] is None
+        for (start, stop, _), (following, _, _) in zip(segments, segments[1:]):
+            assert start < stop == following
+        for k in range(max(cao.schedule, default=0) + 2):
+            (holding,) = [ops for start, stop, ops in segments if start <= k and (stop is None or k < stop)]
+            assert apply_schedule(cao, k) == holding == folded_at(cao, k)

@@ -485,10 +485,10 @@ class TestSchedules:
         folds = builds = 0
         real_fold, real_build = model._overridden, matrix_engine.build_operators
 
-        def counting_fold(op, ov, mode):
+        def counting_fold(op, ov):
             nonlocal folds
             folds += 1
-            return real_fold(op, ov, mode)
+            return real_fold(op, ov)
 
         def counting_build(cao, operators=None):
             nonlocal builds
