@@ -17,7 +17,11 @@ never written down — it follows from how many operands and images appear.
 
 Lexing takes one regular-expression match per token, a line at a time, and
 yields tokens as the LL(1) parser pulls them; only tokens a diagnostic may
-point at are kept. Columns count characters, so a tab is one column.
+point at are kept. Columns count characters, so a tab is one column; one
+leading byte-order mark (U+FEFF) is dropped before lexing.
+
+The parser reads syntax only; the builder alone turns each statement's tokens
+into entity indices, values, model objects, token paths and name diagnostics.
 
 Parsing is total: any input, including binary garbage, yields a
 :class:`ParseResult` whose diagnostics carry 1-based line/column spans.
@@ -45,7 +49,7 @@ back reproduces the network exactly.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -127,6 +131,8 @@ class _Token:
         return Span(self.line, self.column, len(self.text))
 
 
+_Pairs = list[tuple[_Token, _Token]]  # the (name, number) tokens of ``( NAME : NUMBER, ... )``
+
 # One alternative per token class, tried in order after the blanks before a
 # token. Lines are lexed one at a time: no token, string or comment spans a
 # newline. WORD is NAME with a non-ASCII start, where ``[^\W\d]`` also admits
@@ -192,10 +198,10 @@ def _lex(text: str, diags: list[Diagnostic]) -> Iterator[_Token]:
 
 @dataclass
 class _Builder:
-    """Accumulates the network and its zero-coefficient warnings. Given a
+    """Turns the tokens the parser read into the network, its name
+    diagnostics (into ``diags``) and its zero-coefficient warnings. Given a
     ``tokens`` dict, it also records the token each element came from, keyed
-    by the element's :class:`Violation` path, so structural violations can be
-    pointed back at source text."""
+    by the element's :class:`Violation` path."""
 
     name: str = ""
     mode: Mode = Mode.Q_PLUS
@@ -204,74 +210,84 @@ class _Builder:
     by_name: dict[str, int] = field(default_factory=dict)
     operators: list[Operator] = field(default_factory=list)
     schedule: dict[int, list[Override]] = field(default_factory=dict)
+    step: int = 0  # of the schedule block being read
+    diags: list[Diagnostic] = field(default_factory=list)
     warnings: list[Diagnostic] = field(default_factory=list)
     tokens: dict[tuple[str | int, ...], _Token] | None = None
 
-    def add_entity(self, name_tok: _Token, value_tok: _Token) -> Diagnostic | None:
-        name = name_tok.text
-        if name in self.by_name:
-            return Diagnostic("error", f"duplicate entity name '{name}'", name_tok.span)
-        i = self.by_name[name] = len(self.entities)
-        self.entities.append(Entity(i, name, value_tok.value))
-        if self.tokens is not None:
-            self.tokens["entity", i] = name_tok
-            self.tokens["entity", i, "initial"] = value_tok
-        return None
+    def record(self, tok: _Token | None, *path: str | int) -> None:
+        if self.tokens is not None and tok is not None:
+            self.tokens.setdefault(path, tok)
 
-    def add_operator(
-        self,
-        kw: _Token,
-        kind: CarryKind,
-        operands: list[tuple[int | None, Fraction]],
-        otoks: list[tuple[_Token, _Token]],
-        images: list[tuple[int | None, Fraction]],
-        itoks: list[tuple[_Token, _Token]],
-    ) -> None:
-        if any(e is None for e, _ in operands) or any(e is None for e, _ in images):
-            return  # unresolved names already reported; the file cannot build
+    def entity(self, name: _Token) -> int | None:
+        """The index of the entity ``name`` names; an unknown name is reported."""
+        i = self.by_name.get(name.text)
+        if i is None:
+            self.diags.append(Diagnostic("error", f"unknown entity '{name.text}'", name.span))
+        return i
+
+    def header(self, name: _Token | None, mode: _Token | None, kind: _Token | None) -> None:
+        """``cao NAME [mode MODE] [kind KIND]``; a missing or malformed part is None."""
+        if name is not None:
+            self.name = name.value
+        if mode is not None:
+            self.mode = Mode(mode.text)
+        if kind is not None:
+            self.default_kind = CarryKind(kind.text)
+
+    def add_entity(self, name: _Token, value: _Token) -> None:
+        if name.text in self.by_name:
+            self.diags.append(Diagnostic("error", f"duplicate entity name '{name.text}'", name.span))
+            return
+        i = self.by_name[name.text] = len(self.entities)
+        self.entities.append(Entity(i, name.text, value.value))
+        self.record(name, "entity", i)
+        self.record(value, "entity", i, "initial")
+
+    def add_operator(self, kw: _Token, kind: _Token | None, operands: _Pairs, images: _Pairs) -> None:
+        """``op [KIND] (operands) -> (images)``, each side as (name, number) token pairs."""
+        found = [self.entity(name) for name, _ in operands + images]
+        if None in found:
+            return  # the file cannot build
         o = len(self.operators)
         self.operators.append(
             Operator(
-                kind,
-                tuple(Operand(e, v) for e, v in operands),
-                tuple(Image(e, v) for e, v in images),
+                CarryKind(kind.text) if kind is not None else self.default_kind,
+                tuple(Operand(e, num.value) for e, (_, num) in zip(found, operands)),
+                tuple(Image(e, num.value) for e, (_, num) in zip(found[len(operands) :], images)),
             )
         )
-        for name_tok, num_tok in itoks:
-            if num_tok.value == 0:
-                self.warnings.append(
-                    Diagnostic(
-                        "warning",
-                        f"zero coefficient toward image '{name_tok.text}' has no effect",
-                        num_tok.span,
-                    )
-                )
-        if self.tokens is not None:
-            self.tokens["operator", o] = kw
-            for side, number, toks in (("operand", "radix", otoks), ("image", "coefficient", itoks)):
-                for slot, (name_tok, num_tok) in enumerate(toks):
-                    self.tokens["operator", o, side, slot] = name_tok
-                    self.tokens["operator", o, side, slot, number] = num_tok
+        for name, num in images:
+            if num.value == 0:
+                message = f"zero coefficient toward image '{name.text}' has no effect"
+                self.warnings.append(Diagnostic("warning", message, num.span))
+        if self.tokens is not None:  # the first pass records nothing: skip the calls
+            self.record(kw, "operator", o)
+            for side, number, pairs in (("operand", "radix", operands), ("image", "coefficient", images)):
+                for slot, (name, num) in enumerate(pairs):
+                    self.record(name, "operator", o, side, slot)
+                    self.record(num, "operator", o, side, slot, number)
 
-    def add_override(
-        self, step: int, ov: Override, op_tok: _Token, ent_tok: _Token | None, val_tok: _Token
-    ) -> None:
-        slot = len(self.schedule.setdefault(step, []))
-        self.schedule[step].append(ov)
+    def begin_step(self, num: _Token | None) -> None:
+        """``at NUMBER {``: the overrides that follow belong to this step (0 without a number)."""
+        self.step = int(num.value) if num is not None else 0
+        self.record(num, "schedule", self.step)
+
+    def add_override(self, index: _Token, key: _Token, entity: _Token | None, value: _Token) -> None:
+        """``op INDEX KEY [ENTITY] = VALUE`` at the current step; ``entity`` is None for 'enabled'."""
+        e = None if entity is None else self.entity(entity)
+        if e is None and entity is not None:
+            return  # an unknown name
+        setting = value.text == "true" if entity is None else value.value
+        overrides = self.schedule.setdefault(self.step, [])
+        at = ("schedule", self.step, len(overrides))
+        overrides.append(Override(int(index.value), key.text, e, setting))
         if self.tokens is not None:
-            self.tokens["schedule", step, slot, "operator"] = op_tok
-            if ent_tok is not None:
-                self.tokens["schedule", step, slot, "entity"] = ent_tok
-            self.tokens["schedule", step, slot, "value"] = val_tok
+            for part, tok in (("operator", index), ("entity", entity), ("value", value)):
+                self.record(tok, *at, part)
 
     def build(self) -> Cao:
-        return Cao(
-            self.name,
-            tuple(self.entities),
-            tuple(self.operators),
-            self.mode,
-            {k: tuple(v) for k, v in self.schedule.items()},
-        )
+        return Cao(self.name, self.entities, self.operators, self.mode, self.schedule)
 
     def span_for(self, v: Violation) -> Span:
         """The token of the longest recorded prefix of the violation's path."""
@@ -287,14 +303,15 @@ class _SkipStatement(Exception):
 
 
 class _Parser:
-    """Recursive descent over a token stream. The grammar is LL(1): every
+    """Recursive descent over a token stream; it reads syntax only and hands
+    each statement's tokens to the builder. The grammar is LL(1): every
     decision reads ``cur`` alone, so tokens are pulled one at a time."""
 
-    def __init__(self, tokens: Iterator[_Token], diags: list[Diagnostic]):
+    def __init__(self, tokens: Iterator[_Token], b: _Builder):
         self.tokens = tokens
+        self.b = b
         self.cur = next(tokens)
-        self.diags = diags
-        self.block: dict[str, Callable[..., None]] = {}  # statements of the block being parsed
+        self.block: dict[str, Callable[[_Parser], None]] = {}  # statements of the block being parsed
 
     def at(self, ttype: str, text: str | None = None) -> bool:
         t = self.cur
@@ -307,7 +324,7 @@ class _Parser:
         return t
 
     def error(self, message: str, span: Span | None = None, expected: tuple[str, ...] | None = None) -> None:
-        self.diags.append(Diagnostic("error", message, span or self.cur.span, expected))
+        self.b.diags.append(Diagnostic("error", message, span or self.cur.span, expected))
 
     def _found(self) -> str:
         return "end of input" if self.cur.type == "EOF" else repr(self.cur.text)
@@ -339,6 +356,13 @@ class _Parser:
         self.missing(what, what)
         raise _SkipStatement
 
+    def need_keyword(self, choices: tuple[str, ...]) -> _Token:
+        """Consume one of the keywords ``choices``, or abandon the statement."""
+        if self.at_keyword(choices):
+            return self.advance()
+        self.unexpected(choices)
+        raise _SkipStatement
+
     def unexpected(self, choices: tuple[str, ...], where: str = "") -> None:
         """Report that none of ``choices`` comes next."""
         *rest, last = map(repr, choices)
@@ -358,7 +382,7 @@ class _Parser:
             elif self.at(";") or header and self.at("{"):
                 self.advance()
                 return
-            elif self.at("}") or self.starts(self.block):
+            elif self.at("}") or self.at_keyword(self.block):
                 return
             else:
                 depth = int(self.at("{"))
@@ -369,21 +393,21 @@ class _Parser:
         if self.expect(";", "';'") is None:
             self.recover()
 
-    def starts(self, parsers: dict[str, Callable[..., None]]) -> bool:
-        """Whether ``cur`` is a keyword that begins one of ``parsers``' statements."""
-        return self.cur.type == "KEYWORD" and self.cur.text in parsers
+    def at_keyword(self, words: Collection[str]) -> bool:
+        """Whether ``cur`` is one of the keywords ``words``."""
+        return self.cur.type == "KEYWORD" and self.cur.text in words
 
-    def statements(self, parsers: dict[str, Callable[..., None]], where: str, *args: object) -> None:
+    def statements(self, parsers: dict[str, Callable[[_Parser], None]], where: str) -> None:
         """Statements through the block's closing '}', each begun by a keyword
         in ``parsers``. The one recovery point: a failed statement is
         abandoned where :meth:`recover` stops."""
         outer, self.block = self.block, parsers
         while not self.at("}") and not self.at("EOF"):
             try:
-                if not self.starts(parsers):
+                if not self.at_keyword(parsers):
                     self.unexpected((*parsers, "}"), where)
                     raise _SkipStatement
-                parsers[self.cur.text](*args)
+                parsers[self.cur.text](self)
             except _SkipStatement:
                 self.recover()
         self.block = outer
@@ -391,167 +415,124 @@ class _Parser:
 
     # --- grammar -----------------------------------------------------------
 
-    def parse_cao(self, b: _Builder) -> _Builder | None:
+    def parse_cao(self) -> None:
         if self.expect("KEYWORD", "'cao'", "cao") is None:
-            return None
-        name_tok = self.expect("STRING", "a quoted network name")
-        if name_tok is not None:
-            b.name = str(name_tok.value)
-        body = self.block = {"entity": self.parse_entity, "op": self.parse_op, "at": self.parse_at}
-        b.mode = self.option("mode", Mode) or b.mode
-        b.default_kind = self.option("kind", CarryKind) or b.default_kind
-        if self.expect("{", "'{'") is None and not self.starts(body):
+            return
+        name = self.expect("STRING", "a quoted network name")
+        self.block = self.BODY
+        self.b.header(name, self.option("mode", Mode), self.option("kind", CarryKind))
+        if self.expect("{", "'{'") is None and not self.at_keyword(self.BODY):
             self.recover(header=True)
-        self.statements(body, "", b)
+        self.statements(self.BODY, "")
         if not self.at("EOF"):
             self.error("unexpected text after the closing '}'")
-        return b
 
-    def option(self, keyword: str, values: type[Mode | CarryKind]) -> Mode | CarryKind | None:
-        """The ``values`` member named after an optional header ``keyword``, or
-        None. A bad word is reported and skipped; 'kind', a statement keyword
-        of the body, punctuation or a string is reported and left in place."""
+    def option(self, keyword: str, values: type[Mode | CarryKind]) -> _Token | None:
+        """The word after an optional header ``keyword`` if it names one of
+        ``values``, or None. A bad word is reported and skipped; 'kind', a
+        statement keyword of the body, punctuation or a string is reported
+        and left in place."""
         if not self.at("KEYWORD", keyword):
             return None
         self.advance()
         choices = tuple(v.value for v in values)
-        if self.cur.type == "KEYWORD" and self.cur.text in choices:
-            return values(self.advance().text)
+        if self.at_keyword(choices):
+            return self.advance()
         self.unexpected(choices, f" after '{keyword}'")
         word = self.cur.type in ("NAME", "NUMBER", "KEYWORD")
-        if word and not (self.at("KEYWORD", "kind") or self.starts(self.block)):
+        if word and not (self.at("KEYWORD", "kind") or self.at_keyword(self.block)):
             self.advance()
         return None
 
-    def parse_entity(self, b: _Builder) -> None:
+    def parse_entity(self) -> None:
         self.advance()  # entity
         names = [self.need_name("an entity name")]
         while self.at(","):
             self.advance()
             names.append(self.need_name("an entity name"))
         self.need("=", "'='")
-        num = self.need("NUMBER", "a rational value")
+        value = self.need("NUMBER", "a rational value")
         self.end_statement()
-        for tok in names:
-            dup = b.add_entity(tok, num)
-            if dup is not None:
-                self.diags.append(dup)
+        for name in names:
+            self.b.add_entity(name, value)
 
-    def _resolve(self, b: _Builder, tok: _Token) -> int | None:
-        idx = b.by_name.get(tok.text)
-        if idx is None:
-            self.error(f"unknown entity '{tok.text}'", tok.span)
-        return idx
-
-    def parse_pairs(
-        self, b: _Builder, what: str
-    ) -> tuple[list[tuple[int | None, Fraction]], list[tuple[_Token, _Token]]]:
-        """``( NAME : NUMBER, ... )``: the pairs, and the tokens of each."""
+    def parse_pairs(self, pairs: _Pairs, what: str) -> None:
+        """``( NAME : NUMBER, ... )``: each pair's tokens go to ``pairs`` as it is read."""
         self.need("(", "'('")
-        pairs: list[tuple[int | None, Fraction]] = []
-        toks: list[tuple[_Token, _Token]] = []
         while True:
-            name_tok = self.need_name(f"an {what} name")
+            name = self.need_name(f"an {what} name")
             self.need(":", "':'")
-            num = self.need("NUMBER", "a rational value")
-            pairs.append((self._resolve(b, name_tok), num.value))
-            toks.append((name_tok, num))
+            pairs.append((name, self.need("NUMBER", "a rational value")))
             if not self.at(","):
                 break
             self.advance()
         self.need(")", "')'")
-        return pairs, toks
 
-    def parse_op(self, b: _Builder) -> None:
+    def parse_op(self) -> None:
         kw = self.advance()  # op
-        kind = b.default_kind
-        if self.at("KEYWORD", "rational") or self.at("KEYWORD", "integer"):
-            kind = CarryKind(self.advance().text)
-        operands, otoks = self.parse_pairs(b, "operand")
-        self.need("ARROW", "'->'")
-        images, itoks = self.parse_pairs(b, "image")
+        kind = self.advance() if self.at_keyword(("rational", "integer")) else None
+        operands: _Pairs = []
+        images: _Pairs = []
+        try:
+            self.parse_pairs(operands, "operand")
+            self.need("ARROW", "'->'")
+            self.parse_pairs(images, "image")
+        except _SkipStatement:  # the names read before the failure are still reported
+            for name, _ in operands + images:
+                self.b.entity(name)
+            raise
         self.end_statement()
-        b.add_operator(kw, kind, operands, otoks, images, itoks)
+        self.b.add_operator(kw, kind, operands, images)
 
-    def parse_at(self, b: _Builder) -> None:
+    def parse_at(self) -> None:
         self.advance()  # at
         num = self.expect("NUMBER", "a step index")
-        step = 0
         if num is not None and num.value.denominator != 1:
             self.error("step index must be an integer", num.span)
-        elif num is not None:
-            step = int(num.value)
-            if b.tokens is not None:
-                b.tokens.setdefault(("schedule", step), num)
-        block = {"op": self.parse_override}
-        if self.expect("{", "'{'") is None and not self.starts(block):
+        self.b.begin_step(num)
+        if self.expect("{", "'{'") is None and not self.at_keyword(self.SCHEDULE):
             raise _SkipStatement
-        self.statements(block, " in a schedule block", b, step)
+        self.statements(self.SCHEDULE, " in a schedule block")
 
-    def parse_override(self, b: _Builder, step: int) -> None:
+    def parse_override(self) -> None:
         self.advance()  # op
-        idx_tok = self.need("NUMBER", "an operator index")
-        if idx_tok.value.denominator != 1 or idx_tok.value < 0:
-            self.error("operator index must be a non-negative integer", idx_tok.span)
-            opidx = 0
-        else:
-            opidx = int(idx_tok.value)
-        if self.at("KEYWORD", "radix") or self.at("KEYWORD", "coeff"):
-            field_tok = self.advance()
-            name_tok = self.need_name("an entity name")
-            self.need("=", "'='")
-            num = self.need("NUMBER", "a rational value")
-            self.end_statement()
-            ent = self._resolve(b, name_tok)
-            if ent is not None:
-                b.add_override(
-                    step,
-                    Override(opidx, field_tok.text, ent, num.value),
-                    idx_tok,
-                    name_tok,
-                    num,
-                )
-        elif self.at("KEYWORD", "enabled"):
-            self.advance()
-            self.need("=", "'='")
-            if not (self.at("KEYWORD", "true") or self.at("KEYWORD", "false")):
-                self.unexpected(("true", "false"))
-                raise _SkipStatement
-            val_tok = self.advance()
-            self.end_statement()
-            b.add_override(
-                step,
-                Override(opidx, "enabled", None, val_tok.text == "true"),
-                idx_tok,
-                None,
-                val_tok,
-            )
-        else:
-            self.unexpected(("radix", "coeff", "enabled"))
-            raise _SkipStatement
+        index = self.need("NUMBER", "an operator index")
+        if index.value.denominator != 1 or index.value < 0:
+            self.error("operator index must be a non-negative integer", index.span)
+        key = self.need_keyword(("radix", "coeff", "enabled"))
+        entity = None if key.text == "enabled" else self.need_name("an entity name")
+        self.need("=", "'='")
+        value = self.need("NUMBER", "a rational value") if entity else self.need_keyword(("true", "false"))
+        self.end_statement()
+        self.b.add_override(index, key, entity, value)
+
+    # Each block's statements by keyword; plain functions, so no parser refers to itself
+    BODY = {"entity": parse_entity, "op": parse_op, "at": parse_at}
+    SCHEDULE = {"op": parse_override}
 
 
-def _parse(text: str, diags: list[Diagnostic], builder: _Builder) -> _Builder | None:
-    """Parse ``text`` into ``builder``; None if it does not begin with 'cao'."""
-    tokens = _lex(text, diags)
-    done = _Parser(tokens, diags).parse_cao(builder)
+def _parse(text: str, b: _Builder) -> _Builder:
+    """Parse ``text`` into ``b``, which also collects every diagnostic."""
+    tokens = _lex(text, b.diags)
+    _Parser(tokens, b).parse_cao()
     for _ in tokens:  # lex errors past where the parser stopped still count
         pass
-    return done
+    return b
 
 
 def parse(text: str) -> ParseResult:
-    """Parse a network definition; never raises, whatever the input."""
-    diags: list[Diagnostic] = []
-    builder = _parse(text, diags, _Builder())
-    cao: Cao | None = None
-    if builder is not None and not any(d.severity == "error" for d in diags):
+    """Parse a network definition; never raises, whatever the input. One
+    leading byte-order mark (U+FEFF) is dropped first."""
+    text = text.removeprefix("\ufeff")
+    builder = _parse(text, _Builder())
+    diags, cao = builder.diags, None
+    if not any(d.severity == "error" for d in diags):
         cao = builder.build()
         diags.extend(builder.warnings)
         violations = validate_cao(cao)
         if violations:
             # A clean file keeps no tokens; parsing it again records each element's token.
-            located = _parse(text, [], _Builder(tokens={}))
+            located = _parse(text, _Builder(tokens={}))
             diags.extend(Diagnostic("error", v.message, located.span_for(v)) for v in violations)
     if any(d.severity == "error" for d in diags):
         cao = None

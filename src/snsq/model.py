@@ -38,7 +38,7 @@ concern, not a structural property.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -422,13 +422,13 @@ def _override_violation(cao: Cao, step: int, slot: int, ov: Override) -> Violati
 def _overridden(op: Operator, ov: Override) -> Operator:
     """``op`` with ``ov`` applied; ``ov`` breaks no rule of ``_override_violation``."""
     if ov.field == "enabled":
-        return replace(op, enabled=ov.value)
+        return Operator(op.kind, op.operands, op.images, ov.value)
     e, value = ov.entity, ov.value
     if ov.field == "radix":
         new = tuple(Operand(e, value) if o.entity == e else o for o in op.operands)
-        return replace(op, operands=new)
+        return Operator(op.kind, new, op.images, op.enabled)
     new = tuple(Image(e, value) if i.entity == e else i for i in op.images)
-    return replace(op, images=new)
+    return Operator(op.kind, op.operands, new, op.enabled)
 
 
 def schedule_segments(cao: Cao) -> Iterator[tuple[int, int | None, tuple[Operator, ...]]]:

@@ -74,6 +74,15 @@ class TestValidate:
         assert out.out == ""
         assert out.err == f"snsq: cannot read {path}: not UTF-8 text (invalid start byte at byte 0)\n"
 
+    def test_a_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "bom.sns"
+        path.write_bytes(b"\xef\xbb\xbf" + (SAMPLES / "drip.sns").read_bytes())
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        path.write_bytes(b'\xef\xbb\xbfcao "t" { $ }\n')
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}:1:11: error: unexpected character '$'\n"  # columns as without it
+
 
 class TestRun:
     def test_final_state_lines(self, capsys):

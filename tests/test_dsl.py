@@ -235,7 +235,7 @@ class TestDiagnostics:
         assert result.errors[0].expected == ("qplus", "qminus")
 
     def test_a_bad_mode_word_leaves_the_kind_clause(self):
-        builder = _parse('cao "t" mode qfoo kind integer { }', [], _Builder())
+        builder = _parse('cao "t" mode qfoo kind integer { }', _Builder())
         assert builder.default_kind is CarryKind.INTEGER_FLOOR
 
     def test_empty_input(self):
@@ -332,6 +332,11 @@ RECOVERY_CASES = [
         _err("expected a rational value, found ')'", 4, 18, 1, ("NUMBER",)), NEXT,
     ]),
     ("image-missing-close-paren", _body("op (a:2) -> (b:1;"), [_err("expected ')', found ';'", 4, 19, 1, (")",)), NEXT]),
+    ("image-missing-coefficient-after-unknown-operand", _body("op (zz:2) -> (b:);"), [
+        _err("unknown entity 'zz'", 4, 7, 2),  # a pair read before the failure is still resolved
+        _err("expected a rational value, found ')'", 4, 19, 1, ("NUMBER",)),
+        NEXT,
+    ]),
     ("op-missing-semicolon", _body("op (a:2) -> (b:1)"), [_err("expected ';', found 'op'", 5, 3, 2, (";",)), NEXT]),
     ("missing-semicolon-before-at", _body("entity c = 1 at 1 { op 0 radix zz = 1; }"), [
         _err("expected ';', found 'at'", 4, 16, 2, (";",)),  # the block is parsed, its '}' closes it
@@ -371,6 +376,11 @@ RECOVERY_CASES = [
         _err("unknown entity 'zz'", 4, 37, 2),
         NEXT,
     ]),
+    ("override-coeff-missing-name", _body("at 1 { op 0 coeff = 2; op 0 radix zz = 1; }"), [
+        _err("expected an entity name, found '='", 4, 21, 1, ("an entity name",)),
+        _err("unknown entity 'zz'", 4, 37, 2),
+        NEXT,
+    ]),
     ("override-missing-equals", _body("at 1 { op 0 radix a 2; op 0 radix zz = 1; }"), [
         _err("expected '=', found '2'", 4, 23, 1, ("=",)),
         _err("unknown entity 'zz'", 4, 37, 2),
@@ -381,9 +391,19 @@ RECOVERY_CASES = [
         _err("unknown entity 'zz'", 4, 38, 2),
         NEXT,
     ]),
+    ("override-abandoned-name-not-resolved", _body("at 1 { op 0 radix zz = ; op 0 radix zz = 1; }"), [
+        _err("expected a rational value, found ';'", 4, 26, 1, ("NUMBER",)),  # the first 'zz' is not reported
+        _err("unknown entity 'zz'", 4, 39, 2),
+        NEXT,
+    ]),
     ("override-value-missing-semicolon", _body("at 1 { op 0 radix zz = 3 op 0 enabled = true; }"), [
         _err("unknown entity 'zz'", 4, 21, 2),  # the override still counts: its name is resolved
         _err("expected ';', found 'op'", 4, 28, 2, (";",)),
+        NEXT,
+    ]),
+    ("override-missing-semicolon-before-brace", _body("at 1 { op 0 coeff zz = 2 }"), [
+        _err("unknown entity 'zz'", 4, 21, 2),  # the override still counts
+        _err("expected ';', found '}'", 4, 28, 1, (";",)),
         NEXT,
     ]),
     ("enabled-missing-equals", _body("at 1 { op 0 enabled false; op 0 radix zz = 1; }"), [
@@ -394,6 +414,11 @@ RECOVERY_CASES = [
     ("enabled-bad-flag", _body("at 1 { op 0 enabled = maybe; op 0 radix zz = 1; }"), [
         _err("expected 'true' or 'false', found 'maybe'", 4, 25, 5, ("true", "false")),
         _err("unknown entity 'zz'", 4, 43, 2),
+        NEXT,
+    ]),
+    ("enabled-number-flag", _body("at 1 { op 0 enabled = 1; op 0 radix zz = 1; }"), [
+        _err("expected 'true' or 'false', found '1'", 4, 25, 1, ("true", "false")),
+        _err("unknown entity 'zz'", 4, 39, 2),
         NEXT,
     ]),
     ("enabled-missing-semicolon", _body("at 1 { op 0 enabled = false op 0 radix zz = 1; }"), [
@@ -503,6 +528,17 @@ class TestLexing:
         (err,) = parse('cao "t" { entity a = 1; # end').diagnostics
         assert err.message == "expected '}', found end of input"
         assert err.span == Span(1, 25, 0)
+
+    @pytest.mark.parametrize("line", ["op (a:2) -> (zz:1);", "op (a:0) -> (b:1);", "op (a:2) -> (b:0);"])
+    def test_one_leading_byte_order_mark_is_dropped(self, line):
+        text = f'cao "t" {{\n  entity a, b = 1;\n  {line}\n}}\n'
+        assert parse(text).diagnostics  # an unknown name, a violation and a warning keep their spans
+        assert parse("\ufeff" + text) == parse(text)
+
+    def test_a_byte_order_mark_elsewhere_is_an_error(self):
+        for text, span in [('\ufeff\ufeffcao "t" { }', Span(1, 1, 1)), ('cao "t" {\n\ufeff}\n', Span(2, 1, 1))]:
+            (err,) = parse(text).diagnostics
+            assert (err.message, err.span) == ("unexpected character '\\ufeff'", span)
 
     def test_slash_without_denominator_digits(self):
         (err,) = parse('cao "t" { entity a = 1/; }').diagnostics
