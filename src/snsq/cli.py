@@ -196,7 +196,7 @@ _VERBS = (
         ("--steps", {"type": _step_budget, "required": True, "help": "step budget"}),
         _BACKEND,
         ("--trace", {"metavar": "PATH", "help": "write the trajectory to PATH"}),
-        ("--format", {"choices": ("jsonl", "csv"), "default": "jsonl"}),
+        ("--format", {"choices": runner.TRACE_FORMATS, "default": "jsonl"}),
     ), _cmd_run),
     ("fixpoint", "run until the state settles, repeats, or hits the budget", (
         ("--max-steps", {"type": _step_budget, "default": 1000}),

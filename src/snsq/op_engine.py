@@ -2,11 +2,11 @@
 
 Every enabled operator computes a partial carry per operand (cardinal divided
 by radix, floored for integer-kind operators), takes the minimum across its
-operands as the common carry, leaves each operand the exact remainder
-``cardinal - common * radix``, and sends ``coefficient * common`` to each
-image. All firings are evaluated against the state at the start of the step
-and applied together — an entity drained by one operator and fed by another
-sees both effects from the same snapshot, never a half-updated value.
+operands as the common carry, and sends ``coefficient * common`` to each
+image. An operand is left its remainder ``cardinal - common * radix`` (an
+entity that two operators drain, which the validator rejects, keeps the later
+one's). All firings read the state at the start of the step: an entity
+drained by one operator and fed by another gets its remainder plus its feed.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ def step(
     )
     new = list(state)
     for f in firings:
-        for slot, e in enumerate(f.operands):
-            new[e] += f.remainders[slot] - state[e]
+        for e, remainder in zip(f.operands, f.remainders):
+            new[e] = remainder
     for f in firings:
-        for slot, e in enumerate(f.images):
-            new[e] += f.transformants[slot]
+        for e, transformant in zip(f.images, f.transformants):
+            new[e] += transformant
     if cao.mode is Mode.Q_MINUS:
         for e, value in enumerate(new):
             if value < 0:

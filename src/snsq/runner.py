@@ -53,6 +53,7 @@ from snsq.rationals import format_rational
 State = tuple[Fraction, ...]
 
 BACKENDS = ("operator", "matrix")
+TRACE_FORMATS = ("jsonl", "csv")
 
 
 class StopReason(Enum):
@@ -230,16 +231,11 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
                 matrix_value=None if mx_violation is None else mx_violation[1],
             )
         for kind, op_values, mx_values in (("carry", commons_o, commons_m), ("state", nxt_o, nxt_m)):
-            for e in range(cao.size):
-                if op_values[e] != mx_values[e]:
-                    return EquivalenceReport(
-                        False,
-                        k,
-                        entity=names[e],
-                        kind=kind,
-                        operator_value=op_values[e],
-                        matrix_value=mx_values[e],
-                    )
+            if op_values != mx_values:
+                e = next(e for e in range(cao.size) if op_values[e] != mx_values[e])
+                return EquivalenceReport(
+                    False, k, names[e], kind, operator_value=op_values[e], matrix_value=mx_values[e]
+                )
         if nxt_o == state:
             return EquivalenceReport(True, k)
         state = nxt_o
@@ -300,7 +296,7 @@ def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepReco
             )
 
         return header, rows
-    raise ValueError(f"unknown trace format {fmt!r}; expected 'jsonl' or 'csv'")
+    raise ValueError(f"unknown trace format {fmt!r}; expected one of {TRACE_FORMATS}")
 
 
 def render_trace(records: Iterable[StepRecord], names: tuple[str, ...], fmt: str = "jsonl") -> str:

@@ -9,6 +9,7 @@ corpus, across runs and across machines.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from snsq.model import (
@@ -119,6 +120,31 @@ def random_cao(
     problems = validate_cao(cao)
     assert not problems, problems
     return cao
+
+
+def fed_back(cao: Cao) -> Cao:
+    """``cao`` with each entity that no operator drains drained by one more
+    rational operator, at radix 1, into every other entity at coefficient 1.
+
+    A ``random_cao`` draw mostly empties into its sinks and rests within a
+    step or two; fed back, it keeps moving, so per-step checks see many steps.
+    The new operators come after the drawn ones, so schedule indices still hold.
+    """
+    drained = {e for op in cao.operators for e in op.operand_entities()}
+    one = Fraction(1)
+    extra = tuple(
+        Operator(
+            CarryKind.RATIONAL_EXACT,
+            (Operand(e, one),),
+            tuple(Image(i, one) for i in range(cao.size) if i != e),
+        )
+        for e in range(cao.size)
+        if e not in drained
+    )
+    out = replace(cao, operators=cao.operators + extra)
+    problems = validate_cao(out)
+    assert not problems, problems
+    return out
 
 
 def wide_cao(rng: random.Random, *, with_schedule: bool = False, name: str = "wide") -> Cao:

@@ -1,7 +1,7 @@
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
@@ -15,8 +15,10 @@ from snsq.model import (
     Operand,
     Operator,
     Override,
+    validate_cao,
 )
 from snsq.op_engine import common_carry_vector, fire_operator, partial_carry, step
+from snsq.runner import check_equivalence
 
 RATIONAL = CarryKind.RATIONAL_EXACT
 FLOOR = CarryKind.INTEGER_FLOOR
@@ -162,6 +164,55 @@ class TestStepSemantics:
         vector = common_carry_vector(firings, cao.size)
         assert vector == REF7_CARRIES[0]
         assert vector[6] == 0  # h is a sink
+
+
+class TestUnvalidatedNetworks:
+    """``step`` does not validate. On a network with an entity that two
+    operand slots drain, each slot's entity is left its operator's remainder,
+    the later operator's when two operators drain it."""
+
+    def test_a_repeated_operand_is_left_its_remainder(self):
+        cao = Cao(
+            "twice",
+            (Entity(0, "a", 6), Entity(1, "b", 0)),
+            (Operator(RATIONAL, (Operand(0, 2), Operand(0, 2)), (Image(1, 1),)),),
+        )
+        assert validate_cao(cao)
+        new, firings = step(cao.initial_state(), cao)
+        assert new == (0, 3)
+        assert firings[0].remainders == (0, 0)
+        assert check_equivalence(cao, 5).equivalent
+
+    def test_two_operators_draining_one_entity_leave_the_later_remainder(self):
+        cao = Cao(
+            "shared",
+            (Entity(0, "a", 6), Entity(1, "b", 0), Entity(2, "c", 0)),
+            (
+                Operator(RATIONAL, (Operand(0, 2),), (Image(1, 1),)),
+                Operator(RATIONAL, (Operand(0, 3),), (Image(2, 1),)),
+            ),
+        )
+        assert validate_cao(cao)
+        new, _ = step(cao.initial_state(), cao)
+        assert new == (0, 3, 2)
+
+    @settings(derandomize=True, max_examples=40)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), positive), min_size=1, max_size=6),
+        st.lists(cardinals, min_size=3, max_size=3),
+    )
+    def test_qplus_never_drains_below_zero(self, slots, values):
+        # up to six operand slots over three entities, each its own operator
+        # or all in one, so entities repeat within and across operators
+        operands = tuple(Operand(e, radix) for e, radix in slots)
+        operators = (Operator(RATIONAL, operands, (Image(0, Fr(1)),)),) + tuple(
+            Operator(FLOOR, (operand,), (Image(2, Fr(1, 2)),)) for operand in operands
+        )
+        cao = Cao("many", tuple(Entity(e, f"e{e}", v) for e, v in enumerate(values)), operators)
+        for ops in (operators[:1], operators[1:], operators):
+            new, firings = step(tuple(values), cao, 0, ops)
+            drained = {e for f in firings for e in f.operands}
+            assert all(new[e] >= 0 for e in drained)
 
 
 @st.composite

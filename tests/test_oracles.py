@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import random_cao, wide_cao
+from corpus import fed_back, random_cao, wide_cao
 from snsq import run
 from snsq.model import (
     Cao,
@@ -235,14 +235,17 @@ def test_ledgers_and_invariants_hold_on_random_networks():
     for case in range(200):
         mode = (Mode.Q_PLUS, Mode.Q_MINUS)[case % 2]
         cao = random_cao(rng, mode=mode, with_schedule=case % 3 != 0, name=f"led{case}")
-        s, c = assert_ledgers_balance(cao, 12)
-        steps, compared = steps + s, compared + c
         seen |= {(cao.mode, op.kind) for op in cao.operators}
         seen |= {"scheduled"} if len(list(schedule_segments(cao))) > 1 else set()
+        s, c = assert_ledgers_balance(fed_back(cao), 6)
+        steps, compared = steps + s, compared + c
     s, c = assert_ledgers_balance(wide_cao(rng, with_schedule=True, name="wide"), 8)
     steps, compared = steps + s, compared + c
+    # drawn as they are, the 200 networks took 422 steps on the two backends,
+    # even with a budget of 12
+    print(f"checked {steps} steps and {compared} invariant values")
     assert seen == {(mode, kind) for mode in Mode for kind in CarryKind} | {"scheduled"}
-    assert steps > 300 and compared > 1000
+    assert steps > 1400 and compared > 1000
 
 
 @pytest.mark.slow

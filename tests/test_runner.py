@@ -27,6 +27,7 @@ from snsq.model import (
 )
 from snsq.runner import (
     BACKENDS,
+    TRACE_FORMATS,
     RunOutcome,
     RunResult,
     StepRecord,
@@ -680,5 +681,6 @@ class TestTraces:
         assert render_trace(records, names, "csv") == buf.getvalue()
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        assert [render_trace((), (), fmt) for fmt in TRACE_FORMATS] == ["", "step,entity,cardinal\n"]
+        with pytest.raises(ValueError, match=r"'xml'; expected one of \('jsonl', 'csv'\)"):
             render_trace((), (), "xml")
