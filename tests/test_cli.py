@@ -341,11 +341,76 @@ carry groups
   sinks: h
 """
 
+# The same for the scheduled integer sample (the declared radices, not a
+# segment's) and for the qminus sample with a negative coefficient.
+OTHER_MATRICES = {
+    DRIP: """\
+configuration
+        tank  cup
+  tank     4    1
+   cup     0    0
+
+radix diagonal
+        tank  cup
+  tank     4    0
+   cup     0    0
+
+inverse radix diagonal
+        tank  cup
+  tank   1/4    0
+   cup     0    0
+
+transfer
+        tank  cup
+  tank    -4    0
+   cup     1    0
+
+carry groups
+  group 0: tank
+  sinks: cup
+""",
+    SIGNED: """\
+configuration
+      i  j   s
+  i  10  0   3
+  j   0  8  -1
+  s   0  0   0
+
+radix diagonal
+      i  j  s
+  i  10  0  0
+  j   0  8  0
+  s   0  0  0
+
+inverse radix diagonal
+        i    j  s
+  i  1/10    0  0
+  j     0  1/8  0
+  s     0    0  0
+
+transfer
+       i   j  s
+  i  -10   0  0
+  j    0  -8  0
+  s    3  -1  0
+
+carry groups
+  group 0: i
+  group 1: j
+  sinks: s
+""",
+}
+
 
 class TestMatrix:
     def test_golden_output(self, capsys):
         assert main(["matrix", ALLFORMS]) == 0
         assert capsys.readouterr().out == ALLFORMS_MATRIX
+
+    @pytest.mark.parametrize("path", list(OTHER_MATRICES), ids=["drip", "signed_inflow"])
+    def test_golden_output_of_the_other_samples(self, path, capsys):
+        assert main(["matrix", path]) == 0
+        assert capsys.readouterr().out == OTHER_MATRICES[path]
 
     def test_tables(self, capsys):
         assert main(["matrix", ALLFORMS]) == 0
