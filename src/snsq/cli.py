@@ -97,17 +97,16 @@ def _cmd_run(args: argparse.Namespace, cao: Cao) -> int:
             return 1
     else:
         outcome = runner.drain(records)
-    if outcome.reason is runner.StopReason.QMINUS_VIOLATION:
+    violated = outcome.reason is runner.StopReason.QMINUS_VIOLATION
+    if violated:
         entity, value = outcome.violation
         print(
             f"{args.file}: step {outcome.steps} would drive '{entity}' to "
             f"{format_rational(value)}; stopping at the last valid state",
             file=sys.stderr,
         )
-        _print_state(cao.entity_names(), outcome.final_state)
-        return 2
     _print_state(cao.entity_names(), outcome.final_state)
-    return 0
+    return 2 if violated else 0
 
 
 def _cmd_fixpoint(args: argparse.Namespace, cao: Cao) -> int:
@@ -123,11 +122,12 @@ def _cmd_fixpoint(args: argparse.Namespace, cao: Cao) -> int:
     return 0
 
 
-def _fmt_table(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    grid = [header, *rows]
-    widths = [max(len(row[c]) for row in grid) for c in range(len(header))]
+def _fmt_table(title: str, names: tuple[str, ...], grid: matrix_engine.Matrix) -> str:
+    """A square grid of rationals under ``title``, its rows and columns named by ``names``."""
+    rows = [("", *names)] + [(n, *map(format_rational, row)) for n, row in zip(names, grid)]
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = [title]
-    for row in grid:
+    for row in rows:
         lines.append("  " + "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)))
     return "\n".join(lines)
 
@@ -136,24 +136,17 @@ def _cmd_matrix(args: argparse.Namespace, cao: Cao) -> int:
     ops = matrix_engine.build_operators(cao)
     names = ops.names
 
-    def matrix_rows(matrix) -> list[tuple[str, ...]]:
-        return [
-            (names[i], *(format_rational(cell) for cell in row))
-            for i, row in enumerate(matrix)
-        ]
-
-    def diagonal_rows(values: tuple[Fraction, ...]) -> list[tuple[str, ...]]:
-        return [
-            (names[i], *(format_rational(v) if j == i else "0" for j in range(len(names))))
+    def diagonal(values: matrix_engine.Vector) -> matrix_engine.Matrix:
+        return tuple(
+            tuple(v if j == i else Fraction(0) for j in range(len(values)))
             for i, v in enumerate(values)
-        ]
+        )
 
-    header = ("", *names)
     sections = [
-        _fmt_table("configuration", header, matrix_rows(build_configuration_matrix(cao))),
-        _fmt_table("radix diagonal", header, diagonal_rows(ops.radix)),
-        _fmt_table("inverse radix diagonal", header, diagonal_rows(ops.inverse_radix)),
-        _fmt_table("transfer", header, matrix_rows(matrix_engine.transfer_matrix(ops))),
+        _fmt_table("configuration", names, build_configuration_matrix(cao)),
+        _fmt_table("radix diagonal", names, diagonal(ops.radix)),
+        _fmt_table("inverse radix diagonal", names, diagonal(ops.inverse_radix)),
+        _fmt_table("transfer", names, matrix_engine.transfer_matrix(ops)),
     ]
     groups = ["carry groups"]
     for gi, group in enumerate(ops.partition):

@@ -526,7 +526,7 @@ def parse(text: str) -> ParseResult:
     text = text.removeprefix("\ufeff")
     builder = _parse(text, _Builder())
     diags, cao = builder.diags, None
-    if not any(d.severity == "error" for d in diags):
+    if not diags:  # only errors land here before the warnings are merged
         cao = builder.build()
         diags.extend(builder.warnings)
         violations = validate_cao(cao)
@@ -534,8 +534,7 @@ def parse(text: str) -> ParseResult:
             # A clean file keeps no tokens; parsing it again records each element's token.
             located = _parse(text, _Builder(tokens={}))
             diags.extend(Diagnostic("error", v.message, located.span_for(v)) for v in violations)
-    if any(d.severity == "error" for d in diags):
-        cao = None
+            cao = None
     diags.sort(key=lambda d: (d.span.line, d.span.column))
     return ParseResult(cao, tuple(diags))
 

@@ -29,14 +29,16 @@ lockstep and reports the first step, entity, and values where they disagree;
 on a valid network they never should.
 
 Both consume one stepping core, ``_stepper``, the only code that folds the
-schedule: it steps k through each ``model.schedule_segments`` segment up to
-the segment's end, never reading the schedule itself. It builds the matrix
-operators once per segment (matrix backend only) and calls the engines.
+schedule or numbers the steps: it steps k through each
+``model.schedule_segments`` segment up to the segment's end, never reading
+the schedule itself. It builds the matrix operators once per segment (matrix
+backend only) and yields each k with the function that takes step k.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -46,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 
 from snsq import matrix_engine, op_engine
-from snsq.model import Cao, NegativeCardinalError, schedule_segments
+from snsq.model import Cao, NegativeCardinalError, Operator, schedule_segments
 from snsq.op_engine import Firing
 from snsq.rationals import format_rational
 
@@ -89,36 +91,40 @@ class RunResult:
     records: tuple[StepRecord, ...]
 
 
+def _take(cao: Cao, ops: tuple[Operator, ...], matrix_ops, state: State, backend: str, k: int):
+    """Step k from ``state`` on ``backend`` with one segment's operators and, for
+    the matrix backend, the ``StateOperators`` built from them. Returns (next
+    state, common carries, firings, None), or (None, None, (), (entity, value))
+    for a step that would drive that entity negative."""
+    try:
+        if backend == "operator":
+            nxt, firings = op_engine.step(state, cao, k, ops)
+            return nxt, op_engine.common_carry_vector(firings, cao.size), firings, None
+        nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
+        return nxt, commons, (), None
+    except NegativeCardinalError as err:
+        return None, None, (), (err.entity, err.value)
+
+
 def _stepper(cao: Cao, matrix: bool):
-    """Yield, for k = 0, 1, 2, ..., a function that takes step k from a state on
-    a backend ("matrix" only when ``matrix`` is true), valid until the next is
-    drawn. It returns (next state, common carries, firings, None), or (None,
-    None, (), (entity, value)) for a step that would drive that entity negative."""
+    """Yield ``(k, take)`` for k = 0, 1, 2, ...: ``take(state, backend, k)`` is
+    ``_take`` bound once per segment ("matrix" only when ``matrix`` is true),
+    so each take keeps its segment's operators after later pairs are drawn."""
     for start, stop, ops in schedule_segments(cao):
         matrix_ops = matrix_engine.build_operators(cao, ops) if matrix else None
+        take = functools.partial(_take, cao, ops, matrix_ops)
         for k in itertools.count(start) if stop is None else range(start, stop):
-
-            def take(state: State, backend: str):
-                try:
-                    if backend == "operator":
-                        nxt, firings = op_engine.step(state, cao, k, ops)
-                        return nxt, op_engine.common_carry_vector(firings, cao.size), firings, None
-                    nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
-                    return nxt, commons, (), None
-                except NegativeCardinalError as err:
-                    return None, None, (), (err.entity, err.value)
-
-            yield take
+            yield k, take
 
 
 def _first_visit(cao: Cao, backend: str, state: State, k: int) -> int | None:
     """The first step j < k at which the run is at ``state``, or None: the run
     replayed from the initial state on ``backend``, emitting nothing."""
     replayed = cao.initial_state()
-    for j, take in zip(range(k), _stepper(cao, backend == "matrix")):
+    for _, (j, take) in zip(range(k), _stepper(cao, backend == "matrix")):
         if replayed == state:
             return j
-        replayed = take(replayed, backend)[0]
+        replayed = take(replayed, backend, j)[0]
     return None
 
 
@@ -144,9 +150,8 @@ def iter_run(
 
     state = cao.initial_state()
     seen = {hash(state)}
-    k = 0
-    for take in _stepper(cao, backend == "matrix"):
-        nxt, commons, firings, violation = take(state, backend)
+    for k, take in _stepper(cao, backend == "matrix"):
+        nxt, commons, firings, violation = take(state, backend, k)
         if violation is not None:
             outcome = RunOutcome(StopReason.QMINUS_VIOLATION, k, state, violation=violation)
         elif nxt == state:
@@ -155,15 +160,15 @@ def iter_run(
             outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
         else:
             yield StepRecord(k, state, commons, firings)
-            state, k = nxt, k + 1
+            state = nxt
             digest = hash(state)
             if digest not in seen:
                 seen.add(digest)
                 continue
-            first = _first_visit(cao, backend, state, k)
+            first = _first_visit(cao, backend, state, k + 1)
             if first is None:  # a hash collision, not a repeat
                 continue
-            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k, state, revisit_of=first)
+            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, state, revisit_of=first)
         yield StepRecord(outcome.steps, state)
         return outcome
 
@@ -216,9 +221,9 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
     names = cao.entity_names()
     state = cao.initial_state()
     # range first, so that zip stops before the stepper folds past the budget
-    for k, take in zip(range(steps), _stepper(cao, True)):
-        nxt_o, commons_o, _, op_violation = take(state, "operator")
-        nxt_m, commons_m, _, mx_violation = take(state, "matrix")
+    for _, (k, take) in zip(range(steps), _stepper(cao, True)):
+        nxt_o, commons_o, _, op_violation = take(state, "operator", k)
+        nxt_m, commons_m, _, mx_violation = take(state, "matrix", k)
         if op_violation is not None or mx_violation is not None:
             if op_violation == mx_violation:  # both set, same entity and value
                 return EquivalenceReport(True, k)

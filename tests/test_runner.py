@@ -269,8 +269,8 @@ def dict_run(cao, max_steps, backend):
     records = []
     state = cao.initial_state()
     seen = {state: 0}
-    for k, take in enumerate(runner._stepper(cao, backend == "matrix")):
-        nxt, commons, firings, violation = take(state, backend)
+    for k, take in runner._stepper(cao, backend == "matrix"):
+        nxt, commons, firings, violation = take(state, backend, k)
         if violation is not None:
             outcome = RunOutcome(StopReason.QMINUS_VIOLATION, k, state, violation=violation)
         elif nxt == state:
@@ -479,6 +479,20 @@ LATE = Cao(
 
 
 class TestSchedules:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_take_steps_its_own_k_with_its_own_segment(self, backend):
+        # drip's segments start at 0, 1 and 2; retuned_ring opens one per step.
+        # Every pair is drawn before any take is called, so the earlier takes
+        # are called after the stepper has moved past their segments.
+        drip = parse((SAMPLES / "drip.sns").read_text(encoding="utf-8")).cao
+        for cao in (drip, retuned_ring(4)):
+            pairs = list(islice(runner._stepper(cao, backend == "matrix"), 6))
+            assert [k for k, _ in pairs] == list(range(6))
+            state = (Fr(7),) * cao.size
+            stepped = [take(state, backend, k)[0] for k, take in pairs]
+            assert stepped == [op_engine.step(state, cao, k)[0] for k in range(6)]
+            assert len(set(stepped)) >= 3, stepped  # the segments step differently
+
     def test_each_override_is_folded_once_per_run(self, monkeypatch):
         # and the matrix operators are built once per segment, only when the
         # matrix backend is in use
