@@ -17,8 +17,9 @@ from snsq.model import (
     Override,
     validate_cao,
 )
+from snsq.matrix_engine import build_operators, step_general
 from snsq.op_engine import common_carry_vector, fire_operator, partial_carry, step
-from snsq.runner import check_equivalence
+from snsq.runner import EquivalenceReport, check_equivalence
 
 RATIONAL = CarryKind.RATIONAL_EXACT
 FLOOR = CarryKind.INTEGER_FLOOR
@@ -166,10 +167,22 @@ class TestStepSemantics:
         assert vector[6] == 0  # h is a sink
 
 
+# a = 6, drained by two operators: a network the validator rejects
+SHARED_DRAIN = Cao(
+    "shared",
+    (Entity(0, "a", 6), Entity(1, "b", 0), Entity(2, "c", 0)),
+    (
+        Operator(RATIONAL, (Operand(0, 2),), (Image(1, 1),)),
+        Operator(RATIONAL, (Operand(0, 3),), (Image(2, 1),)),
+    ),
+)
+
+
 class TestUnvalidatedNetworks:
     """``step`` does not validate. On a network with an entity that two
     operand slots drain, each slot's entity is left its operator's remainder,
-    the later operator's when two operators drain it."""
+    the later operator's when two operators drain it. ``step_general`` keeps
+    one radix and one carry for that entity, the later operator's."""
 
     def test_a_repeated_operand_is_left_its_remainder(self):
         cao = Cao(
@@ -184,17 +197,18 @@ class TestUnvalidatedNetworks:
         assert check_equivalence(cao, 5).equivalent
 
     def test_two_operators_draining_one_entity_leave_the_later_remainder(self):
-        cao = Cao(
-            "shared",
-            (Entity(0, "a", 6), Entity(1, "b", 0), Entity(2, "c", 0)),
-            (
-                Operator(RATIONAL, (Operand(0, 2),), (Image(1, 1),)),
-                Operator(RATIONAL, (Operand(0, 3),), (Image(2, 1),)),
-            ),
-        )
+        cao = SHARED_DRAIN
         assert validate_cao(cao)
         new, _ = step(cao.initial_state(), cao)
         assert new == (0, 3, 2)
+
+    def test_the_matrix_engine_feeds_both_images_the_later_carry(self):
+        # one radix and one carry per entity, (a:3)'s: b receives 6/3, not 6/2
+        cao = SHARED_DRAIN
+        new, commons = step_general(cao.initial_state(), build_operators(cao), cao.mode)
+        assert new == (0, 2, 2) and commons == (2, 0, 0)
+        report = check_equivalence(cao, 5)
+        assert report == EquivalenceReport(False, 0, "b", "state", Fr(3), Fr(2))
 
     @settings(derandomize=True, max_examples=40)
     @given(
