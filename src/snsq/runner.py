@@ -108,8 +108,9 @@ def _take(cao: Cao, ops: tuple[Operator, ...], matrix_ops, state: State, backend
 
 def _stepper(cao: Cao, matrix: bool):
     """Yield ``(k, take)`` for k = 0, 1, 2, ...: ``take(state, backend, k)`` is
-    ``_take`` bound once per segment ("matrix" only when ``matrix`` is true),
-    so each take keeps its segment's operators after later pairs are drawn."""
+    ``_take`` bound, once per segment, to the operators of k's segment, so it
+    stays valid after later pairs are drawn. The backend may be "matrix" only
+    when ``matrix`` is true."""
     for start, stop, ops in schedule_segments(cao):
         matrix_ops = matrix_engine.build_operators(cao, ops) if matrix else None
         take = functools.partial(_take, cao, ops, matrix_ops)
