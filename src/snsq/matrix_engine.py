@@ -78,13 +78,12 @@ def build_operators(
     transfer columns ``snsq matrix`` prints.
     """
     m = cao.size
+    ops = cao.operators if operators is None else operators
     radix = [_ZERO] * m
     floor_mask = [False] * m
     conversion = []
-    partition = []
-    for op in cao.operators if operators is None else operators:
+    for op in ops:
         group = op.operand_entities()
-        partition.append(group)
         if op.kind is CarryKind.INTEGER_FLOOR:
             for e in group:
                 floor_mask[e] = True
@@ -100,7 +99,7 @@ def build_operators(
         radix=tuple(radix),
         inverse_radix=tuple(_ONE / r if r != 0 else _ZERO for r in radix),
         conversion=tuple(conversion),
-        partition=tuple(partition),
+        partition=tuple([op.operand_entities() for op in ops]),
         floor_mask=tuple(floor_mask),
     )
 

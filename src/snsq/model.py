@@ -37,6 +37,7 @@ concern, not a structural property.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -128,11 +129,15 @@ class Operator:
         object.__setattr__(self, "operands", tuple(self.operands))
         object.__setattr__(self, "images", tuple(self.images))
 
+    @functools.cached_property
+    def _entities(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple([op.entity for op in self.operands]), tuple([im.entity for im in self.images])
+
     def operand_entities(self) -> tuple[int, ...]:
-        return tuple(op.entity for op in self.operands)
+        return self._entities[0]
 
     def image_entities(self) -> tuple[int, ...]:
-        return tuple(im.entity for im in self.images)
+        return self._entities[1]
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Every enabled operator computes a partial carry per operand (cardinal divided
 by radix, floored for integer-kind operators), takes the minimum across its
 operands as the common carry, and sends ``coefficient * common`` to each
-image. An operand is left its remainder ``cardinal - common * radix`` (an
-entity that two operators drain, which the validator rejects, keeps the later
-one's). All firings read the state at the start of the step: an entity
-drained by one operator and fed by another gets its remainder plus its feed.
+image. Each operand keeps ``cardinal - common * radix``: exactly 0, with no
+arithmetic, if rational-kind and its own carry is the common one, and the
+later operator's if two drain it (which the validator rejects). Firings all
+read the start-of-step state: a drained and fed entity gets remainder + feed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from snsq.model import (
     Operator,
     apply_schedule,
 )
-from snsq.rationals import floor_to_integer
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -42,33 +43,27 @@ class Firing:
     transformants: tuple[Fraction, ...]
 
 
-def partial_carry(cardinal: Fraction, radix: Fraction, kind: CarryKind) -> Fraction:
-    """How many whole firing-units an operand can supply: #/n, floored for integer kind."""
-    q = cardinal / radix
-    if kind is CarryKind.INTEGER_FLOOR:
-        return floor_to_integer(q)
-    return q
-
-
 def fire_operator(state: tuple[Fraction, ...], op: Operator, index: int) -> Firing:
     """Evaluate one operator against a state snapshot without applying it."""
-    partials = tuple(
-        partial_carry(state[operand.entity], operand.radix, op.kind)
-        for operand in op.operands
-    )
-    common = min(partials)
-    remainders = tuple(
-        state[operand.entity] - common * operand.radix for operand in op.operands
-    )
-    transformants = tuple(image.coefficient * common for image in op.images)
+    if op.kind is CarryKind.INTEGER_FLOOR:
+        partials = [Fraction(state[o.entity] // o.radix) for o in op.operands]
+        common = min(partials)
+        remainders = [state[o.entity] - common * o.radix for o in op.operands]
+    else:
+        partials = [state[o.entity] / o.radix for o in op.operands]
+        common = min(partials)
+        remainders = [
+            _ZERO if p is common else state[o.entity] - common * o.radix
+            for o, p in zip(op.operands, partials)
+        ]
     return Firing(
         operator=index,
         operands=op.operand_entities(),
-        partial_carries=partials,
+        partial_carries=tuple(partials),
         common=common,
-        remainders=remainders,
+        remainders=tuple(remainders),
         images=op.image_entities(),
-        transformants=transformants,
+        transformants=tuple([image.coefficient * common for image in op.images]),
     )
 
 
@@ -87,9 +82,7 @@ def step(
     entity that would drop below zero raises NegativeCardinalError.
     """
     ops = apply_schedule(cao, k) if operators is None else operators
-    firings = tuple(
-        fire_operator(state, op, i) for i, op in enumerate(ops) if op.enabled
-    )
+    firings = tuple([fire_operator(state, op, i) for i, op in enumerate(ops) if op.enabled])
     new = list(state)
     for f in firings:
         for e, remainder in zip(f.operands, f.remainders):
@@ -108,8 +101,7 @@ def common_carry_vector(
     firings: tuple[Firing, ...], size: int
 ) -> tuple[Fraction, ...]:
     """Per-entity common carry: an operand inherits its operator's common, sinks get 0."""
-    zero = Fraction(0)
-    out = [zero] * size
+    out = [_ZERO] * size
     for f in firings:
         for e in f.operands:
             out[e] = f.common

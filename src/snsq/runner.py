@@ -11,9 +11,9 @@ Stop conditions, in precedence order when several hold at once:
 * ``STEP_LIMIT`` — the budget is exhausted and the state is still moving;
 * ``CYCLE_DETECTED`` — the newly committed state equals an earlier one
   (exact tuple equality; a period-1 repeat is reported as a fixed point by
-  the rule above, never as a cycle). The run keeps only each state's hash;
-  a repeated hash is confirmed, and the earlier step found, by replaying the
-  run from its initial state.
+  the rule above, never as a cycle). The run keeps one digest per state, the
+  hash of its (numerator, denominator) pairs; any digest is sound, as a repeat
+  is confirmed, and the earlier step found, by replaying the run exactly.
 
 ``iter_run`` yields the trajectory one record at a time: one record per
 executed step carrying the pre-step state, the per-entity common-carry
@@ -22,7 +22,7 @@ record — ``steps + 1`` records in all — and returns the ``RunOutcome``. It i
 the one run loop. ``run`` collects it into a ``RunResult``; the CLI streams
 it instead, keeping no records (``drain``) or writing each to the trace file
 as it is made (``write_trace``), so only the cycle set grows with the run: one
-hash per visited state.
+digest per visited state.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -129,20 +129,24 @@ def _first_visit(cao: Cao, backend: str, state: State, k: int) -> int | None:
     return None
 
 
+def _digest(state: State) -> int:
+    """The cycle set's key for ``state``: ``hash`` of its (numerator, denominator) pairs."""
+    return hash(tuple([(v.numerator, v.denominator) for v in state]))
+
+
 def iter_run(
     cao: Cao, max_steps: int = 1000, backend: str = "operator"
 ) -> Generator[StepRecord, None, RunOutcome]:
     """Drive a network from its initial state for at most ``max_steps`` steps,
     yielding each record as it is made; the generator returns the outcome.
 
-    Of each visited state only its hash stays behind, so a consumer that
-    drops the records (``drain``) holds one int per step, not the states.
-    A state whose hash was seen before is compared exactly against a replay of
-    the run (``_first_visit``): a cycle costs at most about twice its steps,
-    and a hash collision without a repeat replays the whole run so far. The
-    hashes of ints and Fractions are not randomised, so a network built to
-    collide is slow, never wrong. Bad arguments raise ValueError when the
-    generator is first advanced.
+    Of each visited state only a digest stays behind: the hash of its
+    (numerator, denominator) ints, as a Fraction's own hash costs a modular
+    inverse. A repeated digest is confirmed by an exact replay of the run
+    (``_first_visit``), so any digest is sound: a cycle costs at most about
+    twice its steps, a collision without a repeat replays the run so far, and
+    a network built to collide (int hashes are not randomised) is slow, never
+    wrong. Bad arguments raise ValueError when the generator is first advanced.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -150,7 +154,7 @@ def iter_run(
         raise ValueError("max_steps must be non-negative")
 
     state = cao.initial_state()
-    seen = {hash(state)}
+    seen = {_digest(state)}
     for k, take in _stepper(cao, backend == "matrix"):
         nxt, commons, firings, violation = take(state, backend, k)
         if violation is not None:
@@ -162,12 +166,12 @@ def iter_run(
         else:
             yield StepRecord(k, state, commons, firings)
             state = nxt
-            digest = hash(state)
+            digest = _digest(state)
             if digest not in seen:
                 seen.add(digest)
                 continue
             first = _first_visit(cao, backend, state, k + 1)
-            if first is None:  # a hash collision, not a repeat
+            if first is None:  # a digest collision, not a repeat
                 continue
             outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, state, revisit_of=first)
         yield StepRecord(outcome.steps, state)

@@ -1,7 +1,7 @@
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
@@ -18,7 +18,7 @@ from snsq.model import (
     validate_cao,
 )
 from snsq.matrix_engine import build_operators, step_general
-from snsq.op_engine import common_carry_vector, fire_operator, partial_carry, step
+from snsq.op_engine import common_carry_vector, fire_operator, step
 from snsq.runner import EquivalenceReport, check_equivalence
 
 RATIONAL = CarryKind.RATIONAL_EXACT
@@ -28,21 +28,32 @@ positive = st.fractions(min_value=Fr(1, 1000), max_value=1000)
 cardinals = st.fractions(min_value=0, max_value=1000)
 
 
+def partial_carry(cardinal, radix, kind):
+    """The partial carry that a one-operand operator of ``kind`` computes for
+    an operand holding ``cardinal`` at ``radix``."""
+    op = Operator(kind, (Operand(0, radix),), (Image(1, 1),))
+    (carry,) = fire_operator((Fr(cardinal), Fr(0)), op, 0).partial_carries
+    return carry
+
+
 class TestPartialCarry:
     def test_rational_is_plain_division(self):
-        assert partial_carry(Fr(7), Fr(1, 3), RATIONAL) == 21
-        assert partial_carry(Fr(3), Fr(2, 5), RATIONAL) == Fr(15, 2)
+        assert partial_carry(7, Fr(1, 3), RATIONAL) == 21
+        assert partial_carry(3, Fr(2, 5), RATIONAL) == Fr(15, 2)
 
     def test_floor_truncates_toward_minus_infinity(self):
-        assert partial_carry(Fr(21), Fr(10), FLOOR) == 2
-        assert partial_carry(Fr(27), Fr(8), FLOOR) == 3
-        assert partial_carry(Fr(7), Fr(2), FLOOR) == 3
+        assert partial_carry(21, 10, FLOOR) == 2
+        assert partial_carry(27, 8, FLOOR) == 3
+        assert partial_carry(7, 2, FLOOR) == 3
+        assert partial_carry(-7, 2, FLOOR) == -4  # only an unvalidated network holds -7
+        assert type(partial_carry(7, 2, FLOOR)) is Fr
 
     @given(cardinals, positive)
     def test_floor_never_exceeds_exact(self, c, n):
         exact = partial_carry(c, n, RATIONAL)
         floored = partial_carry(c, n, FLOOR)
         assert floored <= exact < floored + 1
+        assert floored.denominator == 1
 
 
 class TestSingleFirings:
@@ -242,7 +253,46 @@ def fused_operator_state(draw):
     return op, state
 
 
+@st.composite
+def tied_operator_state(draw):
+    """An operator of either kind over three entities, possibly listing one
+    entity more than once (a network the validator rejects), and a state in
+    which operands often share the lowest partial carry: each entity holds
+    either a free cardinal or a shared carry times the radix of one of its slots."""
+    kind = draw(st.sampled_from((RATIONAL, FLOOR)))
+    slots = draw(st.lists(st.tuples(st.integers(0, 2), positive), min_size=1, max_size=4))
+    shared = draw(cardinals)
+    state = [draw(cardinals) for _ in range(3)]
+    for e, radix in slots:
+        if draw(st.sampled_from((True, True, False))):
+            state[e] = shared * radix
+    op = Operator(kind, tuple(Operand(e, radix) for e, radix in slots), (Image(3, Fr(1)),))
+    return op, tuple(state) + (Fr(0),)
+
+
+def tied(kind, slots, values):
+    """``tied_operator_state``'s shape, written out: ``slots`` are (entity, radix)."""
+    op = Operator(kind, tuple(Operand(e, Fr(r)) for e, r in slots), (Image(3, Fr(1)),))
+    return op, tuple(Fr(v) for v in values) + (Fr(0),)
+
+
 class TestFiringProperties:
+    @settings(derandomize=True)
+    @given(tied_operator_state())
+    @example(tied(RATIONAL, ((0, 2), (1, 3)), (4, 6, 0)))  # two operands tie at 2
+    @example(tied(RATIONAL, ((0, 2), (0, 2)), (5, 0, 0)))  # a repeated operand
+    @example(tied(FLOOR, ((0, 2), (1, 3)), (5, 7, 0)))  # floors tie at 2, remainders 1 and 1
+    @example(tied(FLOOR, ((1, 3), (1, 3)), (0, 7, 0)))
+    def test_every_remainder_is_cardinal_minus_common_times_radix(self, case):
+        # a rational operand whose own carry is the common one is set to 0
+        # without arithmetic; every remainder must still be the literal formula
+        op, state = case
+        firing = fire_operator(state, op, 0)
+        assert firing.common == min(firing.partial_carries)
+        for operand, remainder in zip(op.operands, firing.remainders):
+            assert remainder == state[operand.entity] - firing.common * operand.radix
+            assert type(remainder) is Fr
+
     @given(fused_operator_state())
     def test_common_never_exceeds_partials_and_remainders_stay_legal(self, case):
         op, state = case

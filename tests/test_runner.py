@@ -344,6 +344,20 @@ def cycling_cao(rng, max_ring=6, max_tail=6, name="ring"):
     return cao
 
 
+def decay():
+    """perfbench's ``decay`` shape: a and b fuse into c, c spreads back over
+    both. Mass falls on every step and no state repeats, while the
+    denominators grow by about 2 bits a step."""
+    return Cao(
+        "decay",
+        (Entity(0, "a", Fr(700, 3)), Entity(1, "b", Fr(500, 7)), Entity(2, "c", 900)),
+        (
+            Operator(RATIONAL, (Operand(0, 2), Operand(1, 3)), (Image(2, 4),)),
+            Operator(RATIONAL, (Operand(2, 5),), (Image(0, 2), Image(1, 2))),
+        ),
+    )
+
+
 def cycling_networks(count, seed, **sizes):
     rng = random.Random(seed)
     cases = [two_loop(1, 0), transient_loop(), two_loop(1, 1 + Fr(1, 10**40))]
@@ -377,6 +391,26 @@ class TestCycleRule:
         monkeypatch.setattr(runner, "hash", lambda state: 0, raising=False)
         networks = cycling_networks(60, 0xC7C)
         assert cycles_matching_the_dict_rule(networks, 60, backend) >= 45
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_cycle_set_hashes_no_fraction(self, backend, monkeypatch):
+        # a Fraction's hash takes a modular inverse of its denominator; on
+        # decay's states hashing them was about a fifth of a run
+        calls = 0
+        real = Fr.__hash__
+
+        def counting(value):
+            nonlocal calls
+            calls += 1
+            return real(value)
+
+        monkeypatch.setattr(Fr, "__hash__", counting)
+        assert hash(Fr(1, 3)) == real(Fr(1, 3)) and calls == 1
+        calls = 0
+        outcome = drain(iter_run(decay(), 1000, backend))
+        assert (outcome.reason, outcome.steps) == (StopReason.STEP_LIMIT, 1000)
+        assert outcome.final_state[0].denominator.bit_length() > 1500
+        assert calls == 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("backend", BACKENDS)
