@@ -18,14 +18,15 @@ as ``snsq matrix FILE | head`` does, with nothing on stderr. Diagnostics and vio
 ``run`` and ``fixpoint`` keep no trajectory in memory: ``run --trace``
 writes each record to the file as the run makes it.
 
-A call builds only the subparser of the verb it names, since argparse set-up
-outweighs the stepping of a small network; help, no arguments, an unknown
-verb or an option before the verb build all five.
+The parser is built once per process, on the first ``main`` call, and every
+later call reuses it, since argparse set-up outweighs the stepping of a small
+network. Help width and the output streams are read when text is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -200,26 +201,16 @@ _VERBS = (
         ("--steps", {"type": _step_budget, "required": True}),
     ), _cmd_check),
 )
-# argparse's own metavar for all five; a one-verb parser's would name one
-_EVERY_VERB = "{" + ",".join(name for name, *_ in _VERBS) + "}"
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The snsq parser, with only the subparser that ``argv[0]`` names.
-
-    With no ``argv``, or one whose first word is no verb (help, no arguments,
-    an unknown verb, an option first), it holds all five. With one verb, the
-    top-level usage line still lists all five, as argparse would print it.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The snsq parser, with all five verbs."""
     parser = _Parser(
         prog="snsq",
         description="Exact-rational simulator for carry/convert operator networks.",
     )
-    verbs = [verb for verb in _VERBS if argv and verb[0] == argv[0]] or _VERBS
-    sub = parser.add_subparsers(
-        dest="command", required=True, **({} if verbs is _VERBS else {"metavar": _EVERY_VERB})
-    )
-    for name, help_text, options, handler in verbs:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, options, handler in _VERBS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
         for flag, keywords in options:
@@ -228,10 +219,14 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     cao, status = _load(args.file)
     if cao is None:
         return status

@@ -1,4 +1,3 @@
-import argparse
 import errno
 import gc
 import json
@@ -12,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SAMPLES
-from snsq import runner
+from snsq import cli, runner
 from snsq.cli import build_parser, main
 from snsq.dsl import parse
 from snsq.runner import EquivalenceReport
@@ -539,23 +538,28 @@ def call(entry, argv, capsys) -> tuple[int, str, str]:
     return code, out.out, out.err
 
 
-def verbs_of(parser: argparse.ArgumentParser) -> list[str]:
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
-
-
 class TestParserText:
-    """A call builds only the subparser it names; what it prints must not tell."""
+    """``main`` reuses one parser per process; what it prints must not tell."""
 
     @pytest.mark.parametrize("columns", ["80", "200"])
     @pytest.mark.parametrize("line", PINNED_ARGV)
     def test_same_as_the_full_parser(self, capsys, monkeypatch, tmp_path, line, columns):
-        monkeypatch.setenv("COLUMNS", columns)
+        # the parser built at the other width, then used for every other line
+        # first, prints what a freshly built one prints
         paths = {"F": DRIP, "M": str(tmp_path / "missing.sns")}
-        argv = [paths.get(word, word) for word in line.split()]
-        one_verb = call(main, argv, capsys)
-        monkeypatch.setattr("snsq.cli.build_parser", lambda argv=None: build_parser())
-        assert one_verb == call(main, argv, capsys)  # main with all five verbs built
+
+        def argv(text: str) -> list[str]:
+            return [paths.get(word, word) for word in text.split()]
+
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "80" if columns == "200" else "200")
+        at = PINNED_ARGV.index(line)
+        for other in PINNED_ARGV[at + 1 :] + PINNED_ARGV[:at]:  # builds, then runs the rest
+            call(main, argv(other), capsys)
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = call(main, argv(line), capsys)
+        monkeypatch.setattr("snsq.cli._parser", build_parser)  # a fresh parser per call
+        assert reused == call(main, argv(line), capsys)
 
     @pytest.mark.parametrize(
         "argv, text",
@@ -566,10 +570,25 @@ class TestParserText:
         monkeypatch.setenv("COLUMNS", "80")
         assert call(main, argv, capsys) == (0, text, "")
 
-    def test_one_verb_is_built(self):
-        assert verbs_of(build_parser(["check", DRIP, "--steps", "1"])) == ["check"]
-        assert verbs_of(build_parser()) == VERBS
-        assert verbs_of(build_parser(["--help"])) == VERBS
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path, bad_qminus_file):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr("snsq.cli.build_parser", counted)
+    calls = [
+        ["run", DRIP, "--steps", "3"],
+        ["run", DRIP, "--steps", "-1"],
+        ["--help"],
+        ["run", bad_qminus_file, "--steps", "5"],
+        ["validate", str(tmp_path / "missing.sns")],
+    ]
+    assert [call(main, argv, capsys)[0] for argv in calls] == [0, 64, 0, 2, 1]
+    assert len(builds) == 1
 
 
 def test_module_entry_point_usage_error():
