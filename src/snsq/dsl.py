@@ -77,7 +77,7 @@ KEYWORDS = frozenset(
 _PUNCT = "{}(),;:="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A slice of source text: 1-based line and column, length in characters."""
 
@@ -86,7 +86,7 @@ class Span:
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     message: str
@@ -97,7 +97,7 @@ class Diagnostic:
         return f"{self.span.line}:{self.span.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseResult:
     """Outcome of a parse: the network (None whenever any error was reported)
     plus every diagnostic, sorted by source position."""

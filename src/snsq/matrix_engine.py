@@ -44,7 +44,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateOperators:
     """The pieces of the state equation, precomputed from one network snapshot.
 

@@ -77,7 +77,7 @@ class ScheduleError(Exception):
     """A schedule override could not be applied to the operator it names."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A named state variable carrying an exact, non-negative cardinal."""
 
@@ -89,7 +89,7 @@ class Entity:
         object.__setattr__(self, "initial", as_rational(self.initial))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operand:
     """An operator input: the entity it drains and the radix dividing its cardinal."""
 
@@ -100,7 +100,7 @@ class Operand:
         object.__setattr__(self, "radix", as_rational(self.radix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Image:
     """An operator output: the entity it feeds and the coefficient scaling the carry."""
 
@@ -140,7 +140,7 @@ class Operator:
         return self._entities[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Override:
     """One scheduled parameter change; it persists until overridden again.
 
@@ -161,7 +161,7 @@ class Override:
             object.__setattr__(self, "value", as_rational(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cao:
     """A named network of entities and operators, with an optional schedule.
 
@@ -194,7 +194,7 @@ class Cao:
         return tuple(e.initial for e in self.entities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One structural rule broken, and the element of the network that breaks it.
 

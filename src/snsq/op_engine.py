@@ -26,7 +26,7 @@ from snsq.model import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Firing:
     """Everything one operator did during one step.
 

@@ -21,8 +21,9 @@ vector, and (operator backend only) the firings, plus a final state-only
 record — ``steps + 1`` records in all — and returns the ``RunOutcome``. It is
 the one run loop. ``run`` collects it into a ``RunResult``; the CLI streams
 it instead, keeping no records (``drain``) or writing each to the trace file
-as it is made (``write_trace``), so only the cycle set grows with the run: one
-digest per visited state.
+as it is made (``write_trace``): at most one step's record is alive while the
+next step is taken, and only the cycle set grows with the run, one digest per
+visited state.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -65,7 +66,7 @@ class StopReason(Enum):
     QMINUS_VIOLATION = "qminus_violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """State before step ``step``; carry vector and firings are None/empty on
     the final record (no step was taken from it)."""
@@ -76,7 +77,7 @@ class StepRecord:
     firings: tuple[Firing, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunOutcome:
     reason: StopReason
     steps: int
@@ -85,7 +86,7 @@ class RunOutcome:
     revisit_of: int | None = None  # earlier step index a cycle returned to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     outcome: RunOutcome
     records: tuple[StepRecord, ...]
@@ -165,6 +166,7 @@ def iter_run(
             outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
         else:
             yield StepRecord(k, state, commons, firings)
+            del commons, firings  # so the record yielded is not alive while the next step is taken
             state = nxt
             digest = _digest(state)
             if digest not in seen:
@@ -181,8 +183,9 @@ def iter_run(
 def drain(
     records: Iterator[StepRecord], each: Callable[[StepRecord], object] | None = None
 ) -> RunOutcome | None:
-    """Pass every record of ``records`` to ``each`` (if given) and keep none.
-    Returns what the iterator returns: an ``iter_run`` generator's outcome."""
+    """Pass every record of ``records`` to ``each`` (if given) and keep none:
+    at most one record is alive while the next one is made. Returns what the
+    iterator returns: an ``iter_run`` generator's outcome."""
     while True:
         try:
             record = next(records)
@@ -190,6 +193,7 @@ def drain(
             return stop.value
         if each is not None:
             each(record)
+        del record  # so no record is alive while the next one is made
 
 
 def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult:
@@ -199,7 +203,7 @@ def run(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunResult
     return RunResult(outcome, tuple(records))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceReport:
     """First disagreement between the two backends, if any.
 

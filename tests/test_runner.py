@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import random
@@ -211,6 +212,20 @@ class TestRun:
         assert [r.state for r in result.records] == [(1, 1 + tiny), (1 + tiny, 1), (1, 1 + tiny)]
 
 
+def chain_ring(size):
+    """perfbench's ``chain`` shape: ``op (e_i:2) -> (e_{i+1}:3)`` round a ring
+    of integer-floor operators. Every entity starts at 2 or more, so every
+    operator fires on every step and the ring never rests or repeats."""
+    return Cao(
+        "ring",
+        tuple(Entity(i, f"e{i}", 2 + 7 * i % 30) for i in range(size)),
+        tuple(
+            Operator(CarryKind.INTEGER_FLOOR, (Operand(i, 2),), (Image((i + 1) % size, 3),))
+            for i in range(size)
+        ),
+    )
+
+
 def collected(records):
     """An ``iter_run`` generator's records and return value, by plain iteration."""
     out = []
@@ -256,6 +271,27 @@ class TestIterRun:
         first = [next(records) for _ in range(3)]
         assert first == list(run(grow(), 3).records[:3])
         records.close()
+
+    def test_no_earlier_step_is_alive_when_the_next_is_taken(self, tmp_path, monkeypatch):
+        # a streamed run holds its state and the cycle digests, never the
+        # previous step's firings (16 of them on this ring)
+        def live_firings():
+            return sum(type(value) is op_engine.Firing for value in gc.get_objects())
+
+        gc.collect()
+        held = live_firings()  # firings that other tests' results still hold
+        counts = []
+        real = op_engine.step
+
+        def counting(*args):
+            counts.append(live_firings() - held)
+            return real(*args)
+
+        monkeypatch.setattr(op_engine, "step", counting)
+        cao = chain_ring(16)
+        assert drain(iter_run(cao, 6)).reason is StopReason.STEP_LIMIT
+        write_trace(str(tmp_path / "ring.jsonl"), iter_run(cao, 6), cao.entity_names())
+        assert counts == [0] * 14
 
     def test_bad_arguments_raise_when_first_advanced(self):
         for args in ((build_ref7(), 5, "quantum"), (build_ref7(), -1)):
