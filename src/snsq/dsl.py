@@ -253,8 +253,8 @@ class _Builder:
         self.operators.append(
             Operator(
                 CarryKind(kind.text) if kind is not None else self.default_kind,
-                tuple(Operand(e, num.value) for e, (_, num) in zip(found, operands)),
-                tuple(Image(e, num.value) for e, (_, num) in zip(found[len(operands) :], images)),
+                tuple([Operand(e, num.value) for e, (_, num) in zip(found, operands)]),
+                tuple([Image(e, num.value) for e, (_, num) in zip(found[len(operands) :], images)]),
             )
         )
         for name, num in images:
@@ -271,6 +271,7 @@ class _Builder:
     def begin_step(self, num: _Token | None) -> None:
         """``at NUMBER {``: the overrides that follow belong to this step (0 without a number)."""
         self.step = int(num.value) if num is not None else 0
+        self.schedule.setdefault(self.step, [])  # an empty block is a step with no overrides
         self.record(num, "schedule", self.step)
 
     def add_override(self, index: _Token, key: _Token, entity: _Token | None, value: _Token) -> None:
@@ -279,7 +280,7 @@ class _Builder:
         if e is None and entity is not None:
             return  # an unknown name
         setting = value.text == "true" if entity is None else value.value
-        overrides = self.schedule.setdefault(self.step, [])
+        overrides = self.schedule[self.step]
         at = ("schedule", self.step, len(overrides))
         overrides.append(Override(int(index.value), key.text, e, setting))
         if self.tokens is not None:

@@ -37,7 +37,6 @@ concern, not a structural property.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -111,7 +110,7 @@ class Image:
         object.__setattr__(self, "coefficient", as_rational(self.coefficient))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operator:
     """A carry/convert operator: drains its operands, feeds its images.
 
@@ -124,14 +123,13 @@ class Operator:
     operands: tuple[Operand, ...]
     images: tuple[Image, ...]
     enabled: bool = True
+    _entities: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "operands", tuple(self.operands))
         object.__setattr__(self, "images", tuple(self.images))
-
-    @functools.cached_property
-    def _entities(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple([op.entity for op in self.operands]), tuple([im.entity for im in self.images])
+        entities = tuple([op.entity for op in self.operands]), tuple([im.entity for im in self.images])
+        object.__setattr__(self, "_entities", entities)
 
     def operand_entities(self) -> tuple[int, ...]:
         return self._entities[0]

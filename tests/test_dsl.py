@@ -19,6 +19,7 @@ from snsq.model import (
     Operand,
     Operator,
     Override,
+    validate_cao,
 )
 
 
@@ -452,7 +453,8 @@ def _network(line):
 
 
 # One syntax-clean text per structural rule the validator can report for a
-# parsed file, with the one diagnostic it gets and the token that carries it.
+# parsed file, with the one diagnostic it gets and the token that carries it;
+# an empty schedule block is a step too, so its step is checked as well.
 VIOLATION_CASES = [
     ("negative-initial", "entity e = -1/2;",
      _err("negative initial cardinal -1/2 for entity 'e'", 5, 14, 4)),
@@ -469,6 +471,8 @@ VIOLATION_CASES = [
     ("negative-coefficient", "op (c:2) -> (b:1, d:-3);",
      _err("negative coefficient -3 toward image 'd' (qplus mode forbids signs)", 5, 23, 2)),
     ("schedule-negative-step", "at -1 { op 0 enabled = false; }",
+     _err("negative schedule step -1", 5, 6, 2)),
+    ("schedule-negative-step-empty-block", "at -1 { }",
      _err("negative schedule step -1", 5, 6, 2)),
     ("schedule-bad-operator", "at 1 { op 0 enabled = true; op 5 enabled = false; }",
      _err("schedule step 1 targets unknown operator 5", 5, 34, 1)),
@@ -607,6 +611,14 @@ class TestSerialization:
         assert parse(serialize(cao)).cao == cao
         # canonical text is a fixed point of serialize . parse
         assert serialize(parse(serialize(cao)).cao) == serialize(cao)
+
+    def test_empty_step_round_trip(self):
+        ref7 = build_ref7()
+        schedule = {0: (), 3: (Override(0, "enabled", None, False),), 5: ()}
+        cao = Cao(ref7.name, ref7.entities, ref7.operators, ref7.mode, schedule)
+        assert validate_cao(cao) == []
+        assert "    at 5 {\n    }\n" in serialize(cao)
+        assert parse(serialize(cao)).cao == cao
 
     def test_corpus_round_trip(self):
         rng = random.Random(2024)

@@ -5,7 +5,9 @@ operand, a step drains every operand to exactly 0 and sends coefficient /
 radix of it to each image. So a step is linear, s' = A·s, with
 A[image][operand] = coefficient / radix, 0 on the diagonal of a drained
 entity and 1 on the diagonal of any other. N steps are A^N·s0, computed
-here by exact repeated squaring.
+here by exact repeated squaring. A schedule changes A from segment to
+segment, so on a scheduled network the state at step k is the product of
+each segment's power of its own A; the oracle folds the overrides itself.
 
 Ledgers and P-invariants (Murata, "Petri nets: properties, analysis and
 applications", Proc. IEEE 77(4), 1989, §VI). Within one schedule segment,
@@ -43,6 +45,7 @@ from snsq.model import (
     Mode,
     Operand,
     Operator,
+    Override,
     schedule_segments,
     validate_cao,
 )
@@ -84,15 +87,24 @@ def linear_cao(rng: random.Random, max_entities: int, name: str) -> Cao:
     return cao
 
 
-def step_matrix(cao: Cao) -> list[list[Fraction]]:
-    """A with s' = A·s, read from the operators' declared parameters."""
-    m = cao.size
-    a = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+def parameters(cao: Cao) -> list[list]:
+    """Each declared operator as [operand, radix, {image: coefficient}, enabled]."""
+    out = []
     for op in cao.operators:
         (operand,) = op.operands
-        a[operand.entity][operand.entity] = Fraction(0)
-        for image in op.images:
-            a[image.entity][operand.entity] = image.coefficient / operand.radix
+        coefficients = {image.entity: image.coefficient for image in op.images}
+        out.append([operand.entity, operand.radix, coefficients, op.enabled])
+    return out
+
+
+def step_matrix(m: int, params: list[list]) -> list[list[Fraction]]:
+    """A with s' = A·s; a disabled operator leaves its operand as it is."""
+    a = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for e, radix, coefficients, enabled in params:
+        if enabled:
+            a[e][e] = Fraction(0)
+            for i, c in coefficients.items():
+                a[i][e] = c / radix
     return a
 
 
@@ -114,7 +126,7 @@ def power_apply(a: list[list[Fraction]], n: int, s: Vector) -> Vector:
 
 def assert_linear_trajectory(cao: Cao, n: int) -> None:
     """``run(cao, n)`` on both backends ends where A^k·s0 says it must."""
-    a, s0 = step_matrix(cao), cao.initial_state()
+    a, s0 = step_matrix(cao.size, parameters(cao)), cao.initial_state()
     for backend in ("operator", "matrix"):
         outcome = run(cao, n, backend).outcome
         k = outcome.steps
@@ -147,6 +159,109 @@ def test_linear_networks_sweep():
     rng = random.Random(0x5EEB)
     for case in range(600):
         assert_linear_trajectory(linear_cao(rng, 12, f"lin{case}"), rng.randint(1, 100))
+
+
+def scheduled_linear_cao(rng: random.Random, max_entities: int, name: str) -> Cao:
+    """A ``linear_cao`` network, ``fed_back`` so that it keeps moving, with
+    overrides at one to five steps in 0..20, each a new radix, a new
+    coefficient (negative only in qminus) or an enable flag."""
+    base = fed_back(linear_cao(rng, max_entities, name))
+    schedule = {}
+    for step in rng.sample(range(21), rng.randint(1, 5)):
+        overrides = []
+        for _ in range(rng.randint(1, 3)):
+            oi = rng.randrange(len(base.operators))
+            op = base.operators[oi]
+            pick = rng.choice(("radix", "coeff", "enabled"))
+            value = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            if pick == "radix":
+                overrides.append(Override(oi, "radix", op.operands[0].entity, value))
+            elif pick == "coeff":
+                if base.mode is Mode.Q_MINUS and rng.random() < 0.3:
+                    value = -value
+                overrides.append(Override(oi, "coeff", rng.choice(op.images).entity, value))
+            else:
+                overrides.append(Override(oi, "enabled", None, rng.random() < 0.5))
+        schedule[step] = tuple(overrides)
+    cao = Cao(name, base.entities, base.operators, base.mode, schedule)
+    assert validate_cao(cao) == []
+    return cao
+
+
+def segment_matrices(cao: Cao) -> list[tuple[int, int | None, list[list[Fraction]]]]:
+    """``(start, stop, A)`` with A holding for start <= k < stop. The schedule
+    is folded here, in step order then slot order: each scheduled step
+    starts a segment, and an override persists until it is overridden
+    again. The network is validated, so no step is negative."""
+    params = parameters(cao)
+    starts = sorted({0, *cao.schedule})
+    out = []
+    for start, stop in zip(starts, [*starts[1:], None]):
+        for ov in cao.schedule.get(start, ()):
+            p = params[ov.operator]
+            if ov.field == "radix":
+                p[1] = ov.value
+            elif ov.field == "coeff":
+                p[2][ov.entity] = ov.value
+            else:
+                p[3] = ov.value
+        out.append((start, stop, step_matrix(cao.size, params)))
+    return out
+
+
+def state_at(segments: list[tuple[int, int | None, list[list[Fraction]]]], k: int, s: Vector) -> Vector:
+    """The state after k steps: each segment's A to the power of the steps
+    it holds below k, applied in segment order."""
+    for start, stop, a in segments:
+        if start >= k:
+            break
+        s = power_apply(a, (k if stop is None else min(stop, k)) - start, s)
+    return s
+
+
+def assert_segment_trajectory(cao: Cao, n: int) -> int:
+    """``run(cao, n)`` on both backends ends in the state the segment powers
+    give for the steps it took, and a qminus violation names the first
+    entity the next step drives negative. Stop reasons are not checked: a
+    scheduled run may still stop early (ROADMAP item 1). Returns the steps
+    taken at or after the first segment boundary."""
+    segments, s0 = segment_matrices(cao), cao.initial_state()
+    crossed = 0
+    for backend in BACKENDS:
+        outcome = run(cao, n, backend).outcome
+        k = outcome.steps
+        assert outcome.final_state == state_at(segments, k, s0), (cao, backend)
+        if outcome.reason is StopReason.QMINUS_VIOLATION:
+            nxt = state_at(segments, k + 1, s0)
+            e = next(i for i, value in enumerate(nxt) if value < 0)
+            assert outcome.violation == (cao.entities[e].name, nxt[e]), (cao, backend)
+        else:
+            assert outcome.violation is None, (cao, backend)
+        if len(segments) > 1:
+            crossed += max(0, k - segments[1][0])
+    return crossed
+
+
+def test_scheduled_linear_networks_follow_the_segment_powers():
+    rng = random.Random(0x5E6)
+    crossed = 0
+    reasons = set()
+    for case in range(60):
+        cao = scheduled_linear_cao(rng, 6, f"seg{case}")
+        n = rng.randint(1, 40)
+        crossed += assert_segment_trajectory(cao, n)
+        reasons.add(run(cao, n).outcome.reason)
+    # drawn as they are, the two backends take 764 steps past a first override
+    print(f"{crossed} steps taken past a segment boundary")
+    assert StopReason.QMINUS_VIOLATION in reasons and StopReason.STEP_LIMIT in reasons
+    assert crossed > 600
+
+
+@pytest.mark.slow
+def test_scheduled_linear_networks_sweep():
+    rng = random.Random(0x5E7)
+    for case in range(300):
+        assert_segment_trajectory(scheduled_linear_cao(rng, 12, f"seg{case}"), rng.randint(1, 100))
 
 
 def incidence(cao: Cao, operators: tuple[Operator, ...]) -> list[tuple[Operator, list[Fraction]]]:

@@ -16,7 +16,17 @@ from conftest import SAMPLES
 from snsq import matrix_engine
 from snsq.dsl import Diagnostic, ParseResult, Span, parse
 from snsq.matrix_engine import StateOperators
-from snsq.model import Cao, Entity, Image, Operand, Override, Violation, validate_cao
+from snsq.model import (
+    Cao,
+    Entity,
+    Image,
+    Operand,
+    Operator,
+    Override,
+    Violation,
+    schedule_segments,
+    validate_cao,
+)
 from snsq.op_engine import Firing
 from snsq.runner import EquivalenceReport, RunOutcome, RunResult, StepRecord, check_equivalence, run
 
@@ -34,6 +44,7 @@ def instances():
         parsed,
         cao,
         cao.entities[0],
+        cao.operators[0],
         cao.operators[0].operands[0],
         cao.operators[0].images[0],
         cao.schedule[1][0],
@@ -52,7 +63,7 @@ def instances():
 
 INSTANCES = instances()
 SLOTTED = [
-    Entity, Operand, Image, Override, Cao, Violation, Firing, StepRecord, RunOutcome,
+    Entity, Operand, Image, Operator, Override, Cao, Violation, Firing, StepRecord, RunOutcome,
     RunResult, EquivalenceReport, StateOperators, Span, Diagnostic, ParseResult,
 ]
 UNHASHABLE = (Cao, ParseResult)  # a Cao's schedule is a dict
@@ -85,7 +96,31 @@ class TestSlottedValue:
             assert hash(replace(value)) == hash(value)
 
 
-def test_operator_caches_its_entity_tuples():
-    op = INSTANCES[Cao].operators[0]
-    assert op.operand_entities() is op.operand_entities()
-    assert op.image_entities() is op.image_entities()
+def entity_tuples(op):
+    return op.operand_entities(), op.image_entities()
+
+
+def test_operator_entity_tuples_follow_its_fields():
+    cao = INSTANCES[Cao]
+    op = cao.operators[0]
+    assert entity_tuples(op) == ((0,), (1,))
+    rewired = replace(op, operands=(Operand(1, 2), Operand(2, 3)), images=(Image(0, 1),))
+    assert entity_tuples(rewired) == ((1, 2), (0,))
+    for copied in (pickle.loads(pickle.dumps(rewired)), copy.deepcopy(rewired)):
+        assert entity_tuples(copied) == ((1, 2), (0,))
+    # drip's two radix overrides, then one of each other field
+    later = {3: (Override(0, "coeff", 1, 2),), 4: (Override(0, "enabled", None, False),)}
+    folded = [ops[0] for _, _, ops in schedule_segments(replace(cao, schedule=cao.schedule | later))]
+    assert [(o.operands[0].radix, o.images[0].coefficient, o.enabled) for o in folded] == [
+        (4, 1, True), (2, 1, True), (1, 1, True), (1, 2, True), (1, 2, False),
+    ]
+    assert all(entity_tuples(o) == ((0,), (1,)) for o in folded)
+    # the stored tuples take no part in equality, hashing or repr
+    twin = replace(op)
+    object.__setattr__(twin, "_entities", ((9,), (9,)))
+    assert twin == op and hash(twin) == hash(op) and repr(twin) == repr(op)
+    assert repr(op) == (
+        "Operator(kind=<CarryKind.INTEGER_FLOOR: 'integer'>, "
+        "operands=(Operand(entity=0, radix=Fraction(4, 1)),), "
+        "images=(Image(entity=1, coefficient=Fraction(1, 1)),), enabled=True)"
+    )
