@@ -6,7 +6,8 @@ operands as the common carry, and sends ``coefficient * common`` to each
 image. Each operand keeps ``cardinal - common * radix``: exactly 0, with no
 arithmetic, if rational-kind and its own carry is the common one, and the
 later operator's if two drain it (which the validator rejects). Firings all
-read the start-of-step state: a drained and fed entity gets remainder + feed.
+read the start-of-step state: a drained and fed entity gets remainder + feed,
+and an exact-0 remainder takes its first feed itself, with no addition.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def step(
             new[e] = remainder
     for f in firings:
         for e, transformant in zip(f.images, f.transformants):
-            new[e] += transformant
+            new[e] = transformant if new[e] is _ZERO else new[e] + transformant
     if cao.mode is Mode.Q_MINUS:
         for e, value in enumerate(new):
             if value < 0:

@@ -67,16 +67,17 @@ def format_rational(a: Fraction) -> str:
     written in full too: the limit guards against converting untrusted text
     (see `parse_rational`), not against printing values snsq computed.
     """
-    try:
-        return str(a)
-    except ValueError:
-        num = _decimal(a.numerator)
-        return num if a.denominator == 1 else f"{num}/{_decimal(a.denominator)}"
+    num = _decimal(a.numerator)
+    return num if a.denominator == 1 else f"{num}/{_decimal(a.denominator)}"
 
 
 def _decimal(n: int) -> str:
-    """Decimal text of an int of any length, converted in pieces that every
+    """Decimal text of an int of any length: ``str(n)``, or pieces that every
     setting of the int<->str limit admits; the global setting is left alone."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
     width = sys.int_info.str_digits_check_threshold
     chunk = 10**width
     sign, n = ("-", -n) if n < 0 else ("", n)

@@ -23,7 +23,8 @@ the one run loop. ``run`` collects it into a ``RunResult``; the CLI streams
 it instead, keeping no records (``drain``) or writing each to the trace file
 as it is made (``write_trace``): at most one step's record is alive while the
 next step is taken, and only the cycle set grows with the run, one digest per
-visited state.
+visited state. The trace renderer keeps the decimal texts of the last two
+records' ints, so each distinct int is converted once across them.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -51,7 +52,7 @@ from fractions import Fraction
 from snsq import matrix_engine, op_engine
 from snsq.model import Cao, NegativeCardinalError, Operator, schedule_segments
 from snsq.op_engine import Firing
-from snsq.rationals import format_rational
+from snsq.rationals import _decimal
 
 State = tuple[Fraction, ...]
 
@@ -258,7 +259,27 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
 
 def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepRecord], str]]:
     """The header of a trace and the function that renders one record of it:
-    a JSON line, or one CSV row per entity."""
+    a JSON line, or one CSV row per entity. ``text`` writes what
+    ``format_rational`` writes, but converts each distinct int once over two
+    adjacent records and keeps no other texts: CPython converts a big int to
+    decimal in quadratic time."""
+    texts: dict[int, str] = {}
+    last: dict[int, str] = {}
+
+    def new_text(n: int) -> str:
+        texts[n] = out = last.get(n) or _decimal(n)
+        return out
+
+    def text(v: Fraction) -> str:
+        # Fraction's slots: its numerator and denominator properties cost more than a hit
+        num, den = v._numerator, v._denominator
+        num_text = texts.get(num) or new_text(num)
+        return num_text if den == 1 else f"{num_text}/{texts.get(den) or new_text(den)}"
+
+    def next_record() -> None:
+        nonlocal texts, last
+        texts, last = {}, texts
+
     if fmt == "jsonl":
         # Text joined directly, in json.dumps's key order and compact
         # separators: each name is JSON-encoded once, and a rational's text
@@ -268,24 +289,25 @@ def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepReco
         every = range(len(names))
 
         def entries(slots, values: State) -> str:
-            pairs = [f'{keys[e]}:"{format_rational(v)}"' for e, v in zip(slots, values)]
+            pairs = [f'{keys[e]}:"{text(v)}"' for e, v in zip(slots, values)]
             return "{" + ",".join(pairs) + "}"
 
         def line(rec: StepRecord) -> str:
-            text = f'{{"step":{rec.step},"state":{entries(every, rec.state)}'
+            next_record()
+            out = f'{{"step":{rec.step},"state":{entries(every, rec.state)}'
             if rec.common_carry is not None:
-                text += f',"common_carry":{entries(every, rec.common_carry)}'
+                out += f',"common_carry":{entries(every, rec.common_carry)}'
             if rec.firings:
                 firings = ",".join(
                     [
-                        f'{{"op":{f.operator},"common":"{format_rational(f.common)}",'
+                        f'{{"op":{f.operator},"common":"{text(f.common)}",'
                         f'"remainders":{entries(f.operands, f.remainders)},'
                         f'"transformants":{entries(f.images, f.transformants)}}}'
                         for f in rec.firings
                     ]
                 )
-                text += f',"firings":[{firings}]'
-            return text + "}\n"
+                out += f',"firings":[{firings}]'
+            return out + "}\n"
 
         return "", line
     if fmt == "csv":
@@ -304,10 +326,9 @@ def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepReco
         cells = [csv_row(["", name, ""])[:-1] for name in names]
 
         def rows(rec: StepRecord) -> str:
+            next_record()
             step = str(rec.step)
-            return "".join(
-                f"{step}{cell}{format_rational(value)}\n" for cell, value in zip(cells, rec.state)
-            )
+            return "".join(f"{step}{cell}{text(value)}\n" for cell, value in zip(cells, rec.state))
 
         return header, rows
     raise ValueError(f"unknown trace format {fmt!r}; expected one of {TRACE_FORMATS}")

@@ -214,3 +214,22 @@ def wide_override(rng: random.Random, operators) -> Override:
         entity = rng.choice(op.image_entities())
         return Override(oi, "coeff", entity, Fraction(rng.randint(0, 6), rng.randint(1, 2)))
     return Override(oi, "enabled", None, rng.random() < 0.5)
+
+
+def decay_text(rng: random.Random) -> str:
+    """perfbench's ``decay`` shape: a and b fuse into c, c spreads back over
+    both; the denominators grow by about 2 bits a step and never repeat."""
+    values = [Fraction(rng.randint(200, 999), rng.randint(1, 9)) for _ in "abc"]
+    return (
+        'cao "decay" {\n'
+        + "".join(f"    entity {name} = {value};\n" for name, value in zip("abc", values))
+        + "    op (a:2, b:3) -> (c:4);\n    op (c:5) -> (a:2, b:2);\n}\n"
+    )
+
+
+# Coefficients of 4 001 digits: c holds 10**8000 (8 001 digits) from step 2,
+# past the 4 300-digit default int<->str limit.
+PAST_THE_LIMIT_TEXT = (
+    f'cao "big" {{ entity a = 1; entity b, c = 0;'
+    f" op (a:1) -> (b:1{'0' * 4000}); op (b:1) -> (c:1{'0' * 4000}); }}\n"
+)

@@ -6,11 +6,11 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
 from conftest import SAMPLES
+from corpus import PAST_THE_LIMIT_TEXT, decay_text
 from snsq import cli, runner
 from snsq.cli import build_parser, main
 from snsq.dsl import parse
@@ -111,13 +111,8 @@ class TestRun:
         assert json.loads(lines[-1])["state"]["h"] == "189/640"
 
     def test_state_past_the_int_str_limit(self, capsys, tmp_path):
-        coeff = "1" + "0" * 4000
         path = tmp_path / "big.sns"
-        path.write_text(
-            f'cao "big" {{ entity a = 1; entity b, c = 0;'
-            f" op (a:1) -> (b:{coeff}); op (b:1) -> (c:{coeff}); }}\n",
-            encoding="utf-8",
-        )
+        path.write_text(PAST_THE_LIMIT_TEXT, encoding="utf-8")
         trace = tmp_path / "t.jsonl"
         assert main(["run", str(path), "--steps", "5", "--trace", str(trace)]) == 0
         c = "1" + "0" * 8000  # 8001 digits, past the 4300-digit default limit
@@ -195,17 +190,6 @@ class TestStreamedTrace:
         ).encode("utf-8")
 
 
-def decay_text(rng: random.Random) -> str:
-    """perfbench's ``decay`` shape: a and b fuse into c, c spreads back over
-    both; the denominators grow by about 2 bits a step and never repeat."""
-    values = [Fraction(rng.randint(200, 999), rng.randint(1, 9)) for _ in "abc"]
-    return (
-        'cao "decay" {\n'
-        + "".join(f"    entity {name} = {value};\n" for name, value in zip("abc", values))
-        + "    op (a:2, b:3) -> (c:4);\n    op (c:5) -> (a:2, b:2);\n}\n"
-    )
-
-
 def traced_peak(fn) -> int:
     gc.collect()
     tracemalloc.start()
@@ -217,14 +201,17 @@ def traced_peak(fn) -> int:
 
 
 def test_run_keeps_no_records(capsys, tmp_path):
-    # the records of 1000 steps outweigh a streamed run's peak about 15 to 1
+    # the records of 1000 steps outweigh a streamed run's peak, traced or not,
+    # more than 10 to 1: the trace renderer keeps two records' texts, and one
+    # that kept every record's would peak near the records themselves
     path = tmp_path / "decay.sns"
     path.write_text(decay_text(random.Random(6)), encoding="utf-8")
     cao = parse(path.read_text(encoding="utf-8")).cao
     collected = traced_peak(lambda: runner.run(cao, 1000))
-    streamed = traced_peak(lambda: main(["run", str(path), "--steps", "1000"]))
-    assert capsys.readouterr().out.startswith("a = ")
-    assert streamed < collected / 2, (streamed, collected)
+    for trace in ([], ["--trace", str(tmp_path / "t.jsonl")]):
+        streamed = traced_peak(lambda: main(["run", str(path), "--steps", "1000", *trace]))
+        assert capsys.readouterr().out.startswith("a = ")
+        assert streamed < collected / 2, (trace, streamed, collected)
 
 
 def test_run_keeps_no_states(capsys, tmp_path):

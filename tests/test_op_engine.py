@@ -127,6 +127,38 @@ class TestStepSemantics:
         new, _ = step(cao.initial_state(), cao)
         assert new == (0, 10, 2)
 
+    def test_a_drained_operand_fed_twice_gets_both_feeds(self):
+        # a is drained to exactly 0 and fed by two operators in the same step:
+        # it takes the first feed as it is and adds the second
+        cao = Cao(
+            "refill",
+            (Entity(0, "a", 6), Entity(1, "b", 4), Entity(2, "c", 9)),
+            (
+                Operator(RATIONAL, (Operand(0, 2),), (Image(1, 1),)),
+                Operator(RATIONAL, (Operand(1, 2),), (Image(0, 3),)),
+                Operator(RATIONAL, (Operand(2, 3),), (Image(0, Fr(1, 2)),)),
+            ),
+        )
+        assert not validate_cao(cao)
+        new, firings = step(cao.initial_state(), cao)
+        assert firings[0].remainders == (0,)
+        t1, t2 = firings[1].transformants[0], firings[2].transformants[0]
+        assert (t1, t2) == (6, Fr(3, 2))
+        assert new == (t1 + t2, 3, 0)
+        assert check_equivalence(cao, 20) == EquivalenceReport(True, 20)
+
+    def test_a_drained_operand_nothing_feeds_stays_zero(self):
+        cao = Cao(
+            "drain",
+            (Entity(0, "a", 6), Entity(1, "b", 1)),
+            (Operator(RATIONAL, (Operand(0, 2),), (Image(1, 1),)),),
+        )
+        assert not validate_cao(cao)
+        new, firings = step(cao.initial_state(), cao)
+        assert firings[0].remainders == (0,)
+        assert new == (0, 4) and type(new[0]) is Fr
+        assert check_equivalence(cao, 5) == EquivalenceReport(True, 1)
+
     def test_disabled_operator_is_absent(self):
         cao = build_ref7()
         ops = list(cao.operators)

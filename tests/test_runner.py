@@ -11,7 +11,7 @@ from itertools import islice
 import pytest
 
 from conftest import SAMPLES, REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
-from corpus import fed_back, random_cao, wide_cao, wide_override
+from corpus import PAST_THE_LIMIT_TEXT, decay_text, fed_back, random_cao, wide_cao, wide_override
 from snsq import matrix_engine, model, op_engine, runner
 from snsq.dsl import parse
 from snsq.model import (
@@ -27,6 +27,7 @@ from snsq.model import (
     ScheduleError,
     validate_cao,
 )
+from snsq.rationals import format_rational
 from snsq.runner import (
     BACKENDS,
     TRACE_FORMATS,
@@ -766,6 +767,39 @@ class TestStopRule:
         assert seen[False, StopReason.CYCLE_DETECTED] >= 60
 
 
+def trace_by_hand(records, names, fmt) -> str:
+    """A trace built record by record from ``format_rational``'s texts, as
+    ``json.dumps`` and ``csv.writer`` write them."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["step", "entity", "cardinal"])
+        for rec in records:
+            writer.writerows([rec.step, name, format_rational(v)] for name, v in zip(names, rec.state))
+        return buf.getvalue()
+
+    def named(slots, values):
+        return {names[e]: format_rational(v) for e, v in zip(slots, values)}
+
+    lines = []
+    for rec in records:
+        obj = {"step": rec.step, "state": named(range(len(names)), rec.state)}
+        if rec.common_carry is not None:
+            obj["common_carry"] = named(range(len(names)), rec.common_carry)
+        if rec.firings:
+            obj["firings"] = [
+                {
+                    "op": f.operator,
+                    "common": format_rational(f.common),
+                    "remainders": named(f.operands, f.remainders),
+                    "transformants": named(f.images, f.transformants),
+                }
+                for f in rec.firings
+            ]
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
 class TestTraces:
     def test_jsonl_shape_and_values(self):
         result = run(build_ref7(), max_steps=10)
@@ -838,8 +872,7 @@ class TestTraces:
         assert written == render_trace(islice(iter_run(cao, 10), 6), cao.entity_names())
 
     def test_odd_names_render_as_the_json_and_csv_modules_do(self):
-        # the renderers encode each name once and join text; these are the
-        # bytes json.dumps and csv.writer give record by record
+        # the renderers encode each name once and join text
         names = ("a,b", 'q"x', "new\nline", "\u00e9\t\\")
         cao = Cao(
             "odd",
@@ -847,34 +880,24 @@ class TestTraces:
             (Operator(RATIONAL, (Operand(0, 2), Operand(3, 3)), (Image(1, 1), Image(2, 1))),),
         )
         records = run(cao, 5).records
+        for fmt in TRACE_FORMATS:
+            assert render_trace(records, names, fmt) == trace_by_hand(records, names, fmt)
 
-        def named(slots, values):
-            return {names[e]: str(v) for e, v in zip(slots, values)}
-
-        lines = []
-        for rec in records:
-            obj = {"step": rec.step, "state": named(range(4), rec.state)}
-            if rec.common_carry is not None:
-                obj["common_carry"] = named(range(4), rec.common_carry)
-            if rec.firings:
-                obj["firings"] = [
-                    {
-                        "op": f.operator,
-                        "common": str(f.common),
-                        "remainders": named(f.operands, f.remainders),
-                        "transformants": named(f.images, f.transformants),
-                    }
-                    for f in rec.firings
-                ]
-            lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
-        assert render_trace(records, names, "jsonl") == "".join(lines)
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "entity", "cardinal"])
-        for rec in records:
-            writer.writerows([rec.step, name, str(value)] for name, value in zip(names, rec.state))
-        assert render_trace(records, names, "csv") == buf.getvalue()
+    @pytest.mark.parametrize("fmt", TRACE_FORMATS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_written_bytes_match_records_rendered_one_by_one(self, tmp_path, fmt, backend):
+        # the renderer converts each int once over two adjacent records; on
+        # decay's 200 steps ints recur within and across records, and the big
+        # network's records hold ints past the int<->str limit
+        cases = [(cao, 5) for cao in STOPPING.values()]
+        cases += [(parse(decay_text(random.Random(seed))).cao, 200) for seed in range(3)]
+        cases.append((parse(PAST_THE_LIMIT_TEXT).cao, 5))
+        for cao, steps in cases:
+            target = tmp_path / f"t.{fmt}"
+            write_trace(str(target), iter_run(cao, steps, backend), cao.entity_names(), fmt)
+            records = run(cao, steps, backend).records
+            want = trace_by_hand(records, cao.entity_names(), fmt).encode("utf-8")
+            assert target.read_bytes() == want, cao.name
 
     def test_unknown_format(self):
         assert [render_trace((), (), fmt) for fmt in TRACE_FORMATS] == ["", "step,entity,cardinal\n"]
