@@ -123,42 +123,45 @@ def _cmd_fixpoint(args: argparse.Namespace, cao: Cao) -> int:
     return 0
 
 
-def _fmt_table(title: str, names: tuple[str, ...], grid: matrix_engine.Matrix) -> str:
-    """A square grid of rationals under ``title``, its rows and columns named by ``names``."""
-    rows = [("", *names)] + [(n, *map(format_rational, row)) for n, row in zip(names, grid)]
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    lines = [title]
-    for row in rows:
-        lines.append("  " + "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)))
-    return "\n".join(lines)
+def _print_table(title: str, names: tuple[str, ...], cells: dict[tuple[int, int], Fraction]) -> None:
+    """A square table of rationals under ``title``, its rows and columns named by ``names``,
+    printed a row at a time from its ``(row, column)`` cells (an absent cell is 0)."""
+    # an entity name is never empty, so no column is narrower than a "0" cell
+    widths = [len(name) for name in names]
+    rows = [[] for _ in names]
+    for (i, j), value in cells.items():
+        text = format_rational(value)
+        rows[i].append((j, text))
+        widths[j] = max(widths[j], len(text))
+    zeros = ["0".rjust(w) for w in widths]
+    label = max(map(len, names), default=0)
+    print(title)
+    print("  " + "  ".join(["".rjust(label), *map(str.rjust, names, widths)]))
+    for name, row in zip(names, rows):
+        line = zeros.copy()
+        for j, text in row:
+            line[j] = text.rjust(widths[j])
+        print("  " + "  ".join([name.rjust(label), *line]))
 
 
 def _cmd_matrix(args: argparse.Namespace, cao: Cao) -> int:
     ops = matrix_engine.build_operators(cao)
     names = ops.names
-
-    def diagonal(values: matrix_engine.Vector) -> matrix_engine.Matrix:
-        return tuple(
-            tuple(v if j == i else Fraction(0) for j in range(len(values)))
-            for i, v in enumerate(values)
-        )
-
-    sections = [
-        _fmt_table("configuration", names, build_configuration_matrix(cao)),
-        _fmt_table("radix diagonal", names, diagonal(ops.radix)),
-        _fmt_table("inverse radix diagonal", names, diagonal(ops.inverse_radix)),
-        _fmt_table("transfer", names, matrix_engine.transfer_matrix(ops)),
-    ]
-    groups = ["carry groups"]
+    for title, cells in (
+        ("configuration", build_configuration_matrix(cao)),
+        ("radix diagonal", {(e, e): v for e, v in enumerate(ops.radix)}),
+        ("inverse radix diagonal", {(e, e): v for e, v in enumerate(ops.inverse_radix)}),
+        ("transfer", matrix_engine.transfer_matrix(ops)),
+    ):
+        _print_table(title, names, cells)
+        print()
+    print("carry groups")
     for gi, group in enumerate(ops.partition):
-        members = ", ".join(names[e] for e in group)
-        groups.append(f"  group {gi}: {members}")
+        print(f"  group {gi}: " + ", ".join(names[e] for e in group))
     grouped = {e for group in ops.partition for e in group}
     sinks = [name for e, name in enumerate(names) if e not in grouped]
     if sinks:
-        groups.append("  sinks: " + ", ".join(sinks))
-    sections.append("\n".join(groups))
-    print("\n\n".join(sections))
+        print("  sinks: " + ", ".join(sinks))
     return 0
 
 

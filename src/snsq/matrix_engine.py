@@ -18,8 +18,8 @@ and ``conversionᵀ`` is a list of ``(image, representative, coefficient)``
 entries, one per (operator, image) pair. A fan-in operator's image receives
 its transformant once, not once per operand, so each entry reads the carry
 of a single representative operand; the group minimum makes all of a
-group's carries equal, so any operand serves. Only ``transfer_matrix``
-builds a dense m×m grid, for ``snsq matrix`` to print.
+group's carries equal, so any operand serves. ``transfer_matrix`` gives
+the same operator as sparse cells, for ``snsq matrix`` to print.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from snsq.model import (
 from snsq.rationals import floor_to_integer
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -129,15 +128,12 @@ def common_carry(partition: tuple[tuple[int, ...], ...], carries: Vector) -> Vec
     return tuple(out)
 
 
-def transfer_matrix(ops: StateOperators) -> Matrix:
-    """Conversion transpose minus the radix diagonal, densified for display."""
-    m = len(ops.radix)
-    grid = [[_ZERO] * m for _ in range(m)]
-    for e, r in enumerate(ops.radix):
-        grid[e][e] = -r
+def transfer_matrix(ops: StateOperators) -> dict[tuple[int, int], Fraction]:
+    """Conversion transpose minus the radix diagonal, as cells by ``(row, column)``."""
+    cells = {(e, e): -r for e, r in enumerate(ops.radix)}
     for image, representative, coefficient in ops.conversion:
-        grid[image][representative] += coefficient
-    return tuple(tuple(row) for row in grid)
+        cells[image, representative] = cells.get((image, representative), _ZERO) + coefficient
+    return cells
 
 
 def step_general(

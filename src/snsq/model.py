@@ -351,13 +351,14 @@ def validate_cao(cao: Cao) -> list[Violation]:
     return out
 
 
-def build_configuration_matrix(cao: Cao) -> tuple[tuple[Fraction, ...], ...]:
-    """The m-by-m structural summary of the network's declared operators.
+def build_configuration_matrix(cao: Cao) -> dict[tuple[int, int], Fraction]:
+    """The structural summary of the network's declared operators, as its
+    cells by ``(row, column)``; a cell not present is 0.
 
-    The diagonal holds each entity's radix (0 for sinks, entities that are
-    operands of no operator); cell (i, j) off the diagonal holds the
-    conversion coefficient carried from operand i toward image j (0 when no
-    such connection exists). Fan-in operators replicate each image
+    The diagonal holds each entity's radix (no cell for sinks, entities that
+    are operands of no operator); cell (i, j) off the diagonal holds the
+    conversion coefficient carried from operand i toward image j (no cell
+    when no such connection exists). Fan-in operators replicate each image
     coefficient across all of their operand rows. Rows and columns follow
     ``cao.entity_names()``.
 
@@ -366,17 +367,15 @@ def build_configuration_matrix(cao: Cao) -> tuple[tuple[Fraction, ...], ...]:
     affect the result: each entity is drained by at most one operator, so
     every cell has a single writer.
     """
-    m = cao.size
-    zero = Fraction(0)
-    grid = [[zero] * m for _ in range(m)]
+    cells = {}
     for op in cao.operators:
         if not op.enabled:
             continue
         for operand in op.operands:
-            grid[operand.entity][operand.entity] = operand.radix
+            cells[operand.entity, operand.entity] = operand.radix
             for image in op.images:
-                grid[operand.entity][image.entity] = image.coefficient
-    return tuple(tuple(row) for row in grid)
+                cells[operand.entity, image.entity] = image.coefficient
+    return cells
 
 
 def _entity_name(cao: Cao, e: int) -> str:

@@ -84,6 +84,11 @@ def build_signed_inflow(loss=-1) -> Cao:
     )
 
 
+def densify(cells: dict[tuple[int, int], Fr], m: int) -> tuple[tuple[Fr, ...], ...]:
+    """The m-by-m grid of a table given as ``(row, column)`` cells, 0 where absent."""
+    return tuple(tuple(cells.get((i, j), Fr(0)) for j in range(m)) for i in range(m))
+
+
 @pytest.fixture
 def ref7() -> Cao:
     return build_ref7()

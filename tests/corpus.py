@@ -227,6 +227,18 @@ def decay_text(rng: random.Random) -> str:
     )
 
 
+def ring_text(m: int) -> str:
+    """An integer-floor ring of ``m`` entities, each feeding the next:
+    ``op (e_i:2) -> (e_{i+1}:3)``, the shape of perfbench's ``chain``."""
+    names = [f"e{i}" for i in range(m)]
+    return (
+        'cao "chain" kind integer {\n'
+        + "".join(f"    entity {name} = {i % 7 + 1};\n" for i, name in enumerate(names))
+        + "".join(f"    op ({a}:2) -> ({b}:3);\n" for a, b in zip(names, names[1:] + names[:1]))
+        + "}\n"
+    )
+
+
 # Coefficients of 4 001 digits: c holds 10**8000 (8 001 digits) from step 2,
 # past the 4 300-digit default int<->str limit.
 PAST_THE_LIMIT_TEXT = (

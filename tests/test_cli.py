@@ -6,14 +6,17 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from conftest import SAMPLES
-from corpus import PAST_THE_LIMIT_TEXT, decay_text
+from corpus import PAST_THE_LIMIT_TEXT, decay_text, random_cao, ring_text, wide_cao
 from snsq import cli, runner
 from snsq.cli import build_parser, main
-from snsq.dsl import parse
+from snsq.dsl import parse, serialize
+from snsq.matrix_engine import build_operators
+from snsq.rationals import format_rational
 from snsq.runner import EquivalenceReport
 
 ALLFORMS = str(SAMPLES / "allforms7.sns")
@@ -276,8 +279,8 @@ class TestFixpoint:
 
 
 # Full stdout of `snsq matrix samples/allforms7.sns`, pinned byte for byte:
-# the matrix engine stores its operators sparsely and densifies them only for
-# this display, which must not drift with the storage.
+# the tables are kept as sparse cells and printed row by row, in O(m + nnz)
+# memory, and the display must not drift with the storage.
 ALLFORMS_MATRIX = """\
 configuration
       i  j  d   s  g  u  h
@@ -408,6 +411,98 @@ class TestMatrix:
         assert "sinks: h" in out
         assert "-10" in out  # transfer diagonal
         assert "1/10" in out  # inverse radix
+
+
+def dense_matrix_output(cao) -> str:
+    """`snsq matrix` stdout as printed from dense m-by-m grids of every table:
+    the reference that the sparse, row-by-row printer must match byte for byte."""
+    m, names, zero = cao.size, cao.entity_names(), Fraction(0)
+    configuration = [[zero] * m for _ in range(m)]
+    for op in cao.operators:
+        if op.enabled:
+            for operand in op.operands:
+                configuration[operand.entity][operand.entity] = operand.radix
+                for image in op.images:
+                    configuration[operand.entity][image.entity] = image.coefficient
+    ops = build_operators(cao)
+
+    def diagonal(values):
+        return [[v if j == i else zero for j in range(m)] for i, v in enumerate(values)]
+
+    transfer = diagonal([-r for r in ops.radix])
+    for image, representative, coefficient in ops.conversion:
+        transfer[image][representative] += coefficient
+
+    def table(title, grid):
+        rows = [("", *names)] + [(n, *map(format_rational, row)) for n, row in zip(names, grid)]
+        widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+        lines = ["  " + "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)) for row in rows]
+        return "\n".join([title, *lines])
+
+    groups = ["carry groups"]
+    groups += [f"  group {g}: " + ", ".join(names[e] for e in group) for g, group in enumerate(ops.partition)]
+    grouped = {e for group in ops.partition for e in group}
+    if len(grouped) < m:
+        groups.append("  sinks: " + ", ".join(n for e, n in enumerate(names) if e not in grouped))
+    sections = [
+        table("configuration", configuration),
+        table("radix diagonal", diagonal(ops.radix)),
+        table("inverse radix diagonal", diagonal(ops.inverse_radix)),
+        table("transfer", transfer),
+        "\n".join(groups),
+    ]
+    return "\n\n".join(sections) + "\n"
+
+
+def _differential_networks():
+    """(id, network text): the samples, an empty network and seeded draws of
+    2 to 64 entities; coefficients of 0 are drawn too, and stored as cells."""
+    cases = [(path.stem, path.read_text(encoding="utf-8")) for path in sorted(SAMPLES.glob("*.sns"))]
+    cases.append(("empty", 'cao "empty" {\n}\n'))
+    rng = random.Random(2101)
+    cases += [(f"random{case}", serialize(random_cao(rng, max_entities=64))) for case in range(30)]
+    cases += [(f"wide{case}", serialize(wide_cao(rng, with_schedule=case % 2 == 0))) for case in range(10)]
+    return cases
+
+
+DIFFERENTIAL = _differential_networks()
+
+
+class TestMatrixAgainstDenseGrids:
+    @pytest.mark.parametrize("text", [text for _, text in DIFFERENTIAL], ids=[i for i, _ in DIFFERENTIAL])
+    def test_stdout_matches_the_dense_reference(self, text, tmp_path, capsys):
+        path = tmp_path / "net.sns"
+        path.write_text(text, encoding="utf-8")
+        assert main(["matrix", str(path)]) == 0
+        assert capsys.readouterr().out == dense_matrix_output(parse(text).cao)
+
+    def test_the_draws_reach_every_kind_of_cell(self):
+        caos = [parse(text).cao for _, text in DIFFERENTIAL]
+        images = [image for cao in caos for op in cao.operators for image in op.images]
+        assert sum(image.coefficient == 0 for image in images) >= 5
+        assert sum(image.coefficient < 0 for image in images) >= 5
+        assert sum(len(op.operands) > 1 for cao in caos for op in cao.operators) >= 20
+        assert max(cao.size for cao in caos) >= 60
+
+    @pytest.mark.slow
+    def test_a_thousand_entity_ring(self, tmp_path, capsys):
+        path = tmp_path / "ring.sns"
+        path.write_text(ring_text(1000), encoding="utf-8")
+        assert main(["matrix", str(path)]) == 0
+        assert capsys.readouterr().out == dense_matrix_output(parse(ring_text(1000)).cao)
+
+    def test_memory_grows_with_entities_not_cells(self, tmp_path, monkeypatch):
+        # an m-entity ring's tables have 4m² cells but only ~5m non-zero ones;
+        # stdout discards its writes, as capsys would keep the O(m²) text
+        peaks = {}
+        for m in (250, 500):
+            path = tmp_path / f"ring{m}.sns"
+            path.write_text(ring_text(m), encoding="utf-8")
+            with open(os.devnull, "w", encoding="utf-8") as sink, monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", sink)
+                peaks[m] = traced_peak(lambda: main(["matrix", str(path)]))
+        assert peaks[500] < 4_000_000, peaks
+        assert peaks[500] / peaks[250] < 3, peaks
 
 
 class TestCheck:
@@ -609,15 +704,8 @@ def test_module_entry_point():
 def test_closed_stdout_exits_141_quietly(tmp_path):
     # 128 entities: the matrix tables (~350 KB) fill the pipe long before the
     # reader closes it, so the write fails with EPIPE
-    names = [f"e{i}" for i in range(128)]
     path = tmp_path / "chain.sns"
-    path.write_text(
-        'cao "chain" kind integer {\n'
-        + "".join(f"    entity {name} = {i % 7 + 1};\n" for i, name in enumerate(names))
-        + "".join(f"    op ({a}:2) -> ({b}:3);\n" for a, b in zip(names, names[1:] + names[:1]))
-        + "}\n",
-        encoding="utf-8",
-    )
+    path.write_text(ring_text(128), encoding="utf-8")
     proc = subprocess.Popen(
         [sys.executable, "-m", "snsq", "matrix", str(path)],
         stdout=subprocess.PIPE,

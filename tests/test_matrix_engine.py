@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
+from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow, densify
 from corpus import fed_back, random_cao, wide_cao
 from snsq.matrix_engine import (
     build_operators,
@@ -72,7 +72,7 @@ class TestBuildOperators:
 
     def test_ref7_transfer(self):
         ops = build_operators(build_ref7())
-        assert transfer_matrix(ops) == as_grid(REF7_TRANSFER)
+        assert densify(transfer_matrix(ops), 7) == as_grid(REF7_TRANSFER)
 
     def test_ref7_floor_mask_and_partition(self):
         ops = build_operators(build_ref7())
@@ -188,6 +188,35 @@ class TestSteps:
         assert dead.partition == live.partition == ((0,),)
         state, commons = step_general((Fr(9), Fr(0)), dead, cao.mode, 1)
         assert state == (9, 0) and commons == (0, 0)
+
+
+class TestTransferMatrix:
+    """``transfer_matrix``, the table ``snsq matrix`` prints, is the operator
+    ``step_general`` steps with: next = state + T · commons."""
+
+    def test_step_is_state_plus_transfer_times_commons(self):
+        rng = random.Random(21)
+        networks = [random_cao(rng, with_schedule=True, name=f"t{case}") for case in range(60)]
+        networks += [wide_cao(rng, with_schedule=True, name=f"wide{case}") for case in range(6)]
+        checked = moved = 0
+        for cao in networks:
+            for _, _, operators in schedule_segments(cao):
+                ops = build_operators(cao, operators)
+                rows = [[] for _ in range(cao.size)]
+                for (i, j), t in transfer_matrix(ops).items():
+                    rows[i].append((j, t))
+                states = [cao.initial_state()]
+                states += [
+                    tuple(Fr(rng.randint(0, 90), rng.randint(1, 6)) for _ in range(cao.size))
+                    for _ in range(3)
+                ]
+                for state in states:
+                    new, commons = step_general(state, ops)
+                    for i, row in enumerate(rows):
+                        assert new[i] == state[i] + sum(t * commons[j] for j, t in row), (cao.name, i)
+                    checked += 1
+                    moved += new != state
+        assert checked > 300 and moved > 200, (checked, moved)
 
 
 class TestBackendAgreement:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_ref7
+from conftest import build_ref7, densify
 from corpus import random_cao, wide_cao
 from snsq import model
 from snsq.model import (
@@ -246,7 +246,7 @@ REF7_GRID = (
 
 class TestDerivedViews:
     def test_configuration_matrix_of_ref7(self):
-        matrix = build_configuration_matrix(build_ref7())
+        matrix = densify(build_configuration_matrix(build_ref7()), 7)
         assert matrix == tuple(tuple(Fr(c) for c in row) for row in REF7_GRID)
         assert matrix[0][0] == 10 and matrix[6][6] == 0
 
@@ -254,7 +254,9 @@ class TestDerivedViews:
         cao = build_ref7()
         ops = list(cao.operators)
         ops[0] = Operator(ops[0].kind, ops[0].operands, ops[0].images, enabled=False)
-        matrix = build_configuration_matrix(replace(cao, operators=tuple(ops)))
+        cells = build_configuration_matrix(replace(cao, operators=tuple(ops)))
+        assert not [key for key in cells if key[0] in (0, 1)]  # nothing stored for i or j
+        matrix = densify(cells, 7)
         for row in (0, 1):  # i and j rows go blank
             assert all(cell == 0 for cell in matrix[row])
         assert matrix[2][2] == 8  # the rest is untouched
