@@ -13,7 +13,8 @@ the trace could not be written; 2 a step would drive a cardinal negative
 (qminus violation); 3 the two backends disagreed; 64 (``EX_USAGE``) a usage
 error, such as an unknown subcommand or a missing or negative step budget;
 141 (128 + SIGPIPE) the reader closed stdout before the output was written,
-as ``snsq matrix FILE | head`` does, with nothing on stderr. Diagnostics and violation details go to stderr, results to stdout.
+as ``snsq matrix FILE | head`` does, with nothing on stderr. Diagnostics and
+violation details go to stderr, results to stdout.
 
 ``run`` and ``fixpoint`` keep no trajectory in memory: ``run --trace``
 writes each record to the file as the run makes it.

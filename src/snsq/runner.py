@@ -18,32 +18,29 @@ Stop conditions, in precedence order when several hold at once:
 ``iter_run`` yields the trajectory one record at a time: one record per
 executed step carrying the pre-step state, the per-entity common-carry
 vector, and (operator backend only) the firings, plus a final state-only
-record — ``steps + 1`` records in all — and returns the ``RunOutcome``. It is
-the one run loop. ``run`` collects it into a ``RunResult``; the CLI streams
-it instead, keeping no records (``drain``) or writing each to the trace file
-as it is made (``write_trace``): at most one step's record is alive while the
-next step is taken, and only the cycle set grows with the run, one digest per
+record — ``steps + 1`` records in all — and returns the ``RunOutcome``.
+``run`` collects it into a ``RunResult``; the CLI streams it instead,
+keeping no records (``drain``) or writing each to the trace file as it is
+made (``write_trace``): at most one step's record is alive while the next
+step is taken, and only the cycle set grows with the run, one digest per
 visited state. The trace renderer keeps the decimal texts of the last two
 records' ints, so each distinct int is converted once across them.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
-on a valid network they never should.
-
-Both consume one stepping core, ``_stepper``, the only code that folds the
-schedule or numbers the steps: it steps k through each
-``model.schedule_segments`` segment up to the segment's end, never reading
-the schedule itself. It builds the matrix operators once per segment (matrix
-backend only) and yields each k with the function that takes step k.
+on a valid network they never should. It, ``iter_run`` and the cycle replay
+each consume ``_trajectory``, the one code that steps a backend: through each
+``model.schedule_segments`` segment, building the matrix operators once per
+segment and deciding once per step whether the step changed nothing.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
+import operator
 from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -93,42 +90,44 @@ class RunResult:
     records: tuple[StepRecord, ...]
 
 
-def _take(cao: Cao, ops: tuple[Operator, ...], matrix_ops, state: State, backend: str, k: int):
-    """Step k from ``state`` on ``backend`` with one segment's operators and, for
-    the matrix backend, the ``StateOperators`` built from them. Returns (next
-    state, common carries, firings, None), or (None, None, (), (entity, value))
-    for a step that would drive that entity negative."""
-    try:
-        if backend == "operator":
+def _trajectory(cao: Cao, backend: str, segments: Iterable[tuple]) -> Iterator[tuple]:
+    """Step ``backend`` through ``segments``, the network's ``schedule_segments``,
+    yielding ``(k, state, nxt, commons, firings, None)`` per step k: ``nxt`` is
+    ``state`` itself when the step changes nothing; only the operator backend
+    fires. A step that would drive an entity negative ends the trajectory with
+    ``(k, state, None, None, (), (entity, value))``."""
+    if backend == "operator":
+        def take(ops: tuple[Operator, ...], state: State, k: int) -> tuple:
             nxt, firings = op_engine.step(state, cao, k, ops)
-            return nxt, op_engine.common_carry_vector(firings, cao.size), firings, None
-        nxt, commons = matrix_engine.step_general(state, matrix_ops, cao.mode, k)
-        return nxt, commons, (), None
-    except NegativeCardinalError as err:
-        return None, None, (), (err.entity, err.value)
-
-
-def _stepper(cao: Cao, matrix: bool):
-    """Yield ``(k, take)`` for k = 0, 1, 2, ...: ``take(state, backend, k)`` is
-    ``_take`` bound, once per segment, to the operators of k's segment, so it
-    stays valid after later pairs are drawn. The backend may be "matrix" only
-    when ``matrix`` is true."""
-    for start, stop, ops in schedule_segments(cao):
-        matrix_ops = matrix_engine.build_operators(cao, ops) if matrix else None
-        take = functools.partial(_take, cao, ops, matrix_ops)
+            return nxt, op_engine.common_carry_vector(firings, cao.size), firings
+    else:
+        def take(ops: matrix_engine.StateOperators, state: State, k: int) -> tuple:
+            return *matrix_engine.step_general(state, ops, cao.mode, k), ()
+    state = cao.initial_state()
+    for start, stop, ops in segments:
+        ops = matrix_engine.build_operators(cao, ops) if backend == "matrix" else ops
         for k in itertools.count(start) if stop is None else range(start, stop):
-            yield k, take
+            violation = None
+            try:
+                nxt, commons, firings = take(ops, state, k)
+            except NegativeCardinalError as err:  # a yield in here would keep the traceback alive
+                violation = (err.entity, err.value)
+            if violation is not None:
+                yield k, state, None, None, (), violation
+                return
+            nxt = state if nxt == state else nxt
+            yield k, state, nxt, commons, firings, None
+            del commons, firings  # so the step yielded is not alive while the next is taken
+            state = nxt
 
 
 def _first_visit(cao: Cao, backend: str, state: State, k: int) -> int | None:
     """The first step j < k at which the run is at ``state``, or None: the run
     replayed from the initial state on ``backend``, emitting nothing."""
-    replayed = cao.initial_state()
-    for _, (j, take) in zip(range(k), _stepper(cao, backend == "matrix")):
-        if replayed == state:
-            return j
-        replayed = take(replayed, backend, j)[0]
-    return None
+    if cao.initial_state() == state:
+        return 0
+    replay = itertools.islice(_trajectory(cao, backend, schedule_segments(cao)), k - 1)
+    return next((j + 1 for j, _, replayed, _, _, _ in replay if replayed == state), None)
 
 
 def _digest(state: State) -> int:
@@ -148,36 +147,36 @@ def iter_run(
     (``_first_visit``), so any digest is sound: a cycle costs at most about
     twice its steps, a collision without a repeat replays the run so far, and
     a network built to collide (int hashes are not randomised) is slow, never
-    wrong. Bad arguments raise ValueError when the generator is first advanced.
+    wrong. ``max_steps`` must be an int. Bad arguments raise when the generator
+    is first advanced.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    max_steps = operator.index(max_steps)
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
 
-    state = cao.initial_state()
-    seen = {_digest(state)}
-    for k, take in _stepper(cao, backend == "matrix"):
-        nxt, commons, firings, violation = take(state, backend, k)
+    seen = {_digest(cao.initial_state())}
+    trajectory = _trajectory(cao, backend, schedule_segments(cao))
+    for k, state, nxt, commons, firings, violation in trajectory:
         if violation is not None:
             outcome = RunOutcome(StopReason.QMINUS_VIOLATION, k, state, violation=violation)
-        elif nxt == state:
+        elif nxt is state:
             outcome = RunOutcome(StopReason.FIXED_POINT, k, state)
         elif k == max_steps:
             outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
         else:
             yield StepRecord(k, state, commons, firings)
-            del commons, firings  # so the record yielded is not alive while the next step is taken
-            state = nxt
-            digest = _digest(state)
+            del state, commons, firings  # so no yielded record is alive during the next step
+            digest = _digest(nxt)
             if digest not in seen:
                 seen.add(digest)
                 continue
-            first = _first_visit(cao, backend, state, k + 1)
+            first = _first_visit(cao, backend, nxt, k + 1)
             if first is None:  # a digest collision, not a repeat
                 continue
-            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, state, revisit_of=first)
-        yield StepRecord(outcome.steps, state)
+            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, nxt, revisit_of=first)
+        yield StepRecord(outcome.steps, outcome.final_state)
         return outcome
 
 
@@ -229,11 +228,12 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     names = cao.entity_names()
-    state = cao.initial_state()
-    # range first, so that zip stops before the stepper folds past the budget
-    for _, (k, take) in zip(range(steps), _stepper(cao, True)):
-        nxt_o, commons_o, _, op_violation = take(state, "operator", k)
-        nxt_m, commons_m, _, mx_violation = take(state, "matrix", k)
+    # both trajectories share one schedule fold, and neither steps past the budget
+    segments = itertools.tee(schedule_segments(cao))
+    operator_steps, matrix_steps = [_trajectory(cao, b, s) for b, s in zip(BACKENDS, segments)]
+    for k in range(steps):
+        _, state, nxt_o, commons_o, _, op_violation = next(operator_steps)
+        _, _, nxt_m, commons_m, _, mx_violation = next(matrix_steps)
         if op_violation is not None or mx_violation is not None:
             if op_violation == mx_violation:  # both set, same entity and value
                 return EquivalenceReport(True, k)
@@ -248,12 +248,10 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
         for kind, op_values, mx_values in (("carry", commons_o, commons_m), ("state", nxt_o, nxt_m)):
             if op_values != mx_values:
                 e = next(e for e in range(cao.size) if op_values[e] != mx_values[e])
-                return EquivalenceReport(
-                    False, k, names[e], kind, operator_value=op_values[e], matrix_value=mx_values[e]
-                )
-        if nxt_o == state:
+                return EquivalenceReport(False, k, names[e], kind, op_values[e], mx_values[e])
+        if nxt_o is state:
             return EquivalenceReport(True, k)
-        state = nxt_o
+        del state  # so no earlier state is alive while the next step is taken
     return EquivalenceReport(True, steps)
 
 

@@ -300,15 +300,21 @@ class TestIterRun:
             with pytest.raises(ValueError):
                 next(records)
 
+    def test_a_budget_that_is_not_an_int_raises_when_first_advanced(self):
+        # k == 2.5 never holds, so a network that never rests would run on
+        with pytest.raises(TypeError):
+            next(iter_run(grow(), 2.5))
+        with pytest.raises(TypeError):
+            check_equivalence(grow(), 2.5)
+
 
 def dict_run(cao, max_steps, backend):
     """The run with every state kept in a dict, keyed by the state itself: a
-    reference for ``iter_run``'s cycle rule, on the same stepping core."""
+    reference for ``iter_run``'s cycle rule, on the same trajectory."""
     records = []
-    state = cao.initial_state()
-    seen = {state: 0}
-    for k, take in runner._stepper(cao, backend == "matrix"):
-        nxt, commons, firings, violation = take(state, backend, k)
+    seen = {cao.initial_state(): 0}
+    trajectory = runner._trajectory(cao, backend, model.schedule_segments(cao))
+    for k, state, nxt, commons, firings, violation in trajectory:
         if violation is not None:
             outcome = RunOutcome(StopReason.QMINUS_VIOLATION, k, state, violation=violation)
         elif nxt == state:
@@ -317,12 +323,11 @@ def dict_run(cao, max_steps, backend):
             outcome = RunOutcome(StopReason.STEP_LIMIT, k, state)
         else:
             records.append(StepRecord(k, state, commons, firings))
-            state = nxt
-            if state not in seen:
-                seen[state] = k + 1
+            if nxt not in seen:
+                seen[nxt] = k + 1
                 continue
-            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, state, revisit_of=seen[state])
-        records.append(StepRecord(outcome.steps, state))
+            outcome = RunOutcome(StopReason.CYCLE_DETECTED, k + 1, nxt, revisit_of=seen[nxt])
+        records.append(StepRecord(outcome.steps, outcome.final_state))
         return RunResult(outcome, tuple(records))
 
 
@@ -607,17 +612,16 @@ LATE = Cao(
 
 class TestSchedules:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_each_take_steps_its_own_k_with_its_own_segment(self, backend):
-        # drip's segments start at 0, 1 and 2; retuned_ring opens one per step.
-        # Every pair is drawn before any take is called, so the earlier takes
-        # are called after the stepper has moved past their segments.
+    def test_the_trajectory_steps_each_k_with_its_own_segment(self, backend):
+        # drip's segments start at 0, 1 and 2; retuned_ring opens one per step
         drip = parse((SAMPLES / "drip.sns").read_text(encoding="utf-8")).cao
         for cao in (drip, retuned_ring(4)):
-            pairs = list(islice(runner._stepper(cao, backend == "matrix"), 6))
-            assert [k for k, _ in pairs] == list(range(6))
-            state = (Fr(7),) * cao.size
-            stepped = [take(state, backend, k)[0] for k, take in pairs]
-            assert stepped == [op_engine.step(state, cao, k)[0] for k in range(6)]
+            steps = list(islice(runner._trajectory(cao, backend, model.schedule_segments(cao)), 6))
+            raw = segment_states(cao, 6)
+            assert [k for k, *_ in steps] == list(range(6))
+            assert [state for _, state, *_ in steps] == raw[:6]
+            stepped = [nxt for _, _, nxt, *_ in steps]
+            assert stepped == raw[1:]
             assert len(set(stepped)) >= 3, stepped  # the segments step differently
 
     def test_each_override_is_folded_once_per_run(self, monkeypatch):
@@ -726,26 +730,33 @@ def segment_states(cao, steps):
     return states
 
 
-def stop_rule_outcomes(draws, budget=12):
-    """Check each run's outcome against the raw trajectory on ``draws``
-    ``random_cao`` networks and their ``fed_back`` versions, on both backends;
-    count the outcomes by (scheduled, stop reason)."""
+def stop_rule_outcomes(draws, cycling):
+    """Check each run's outcome against the raw trajectory, on both backends:
+    on ``draws`` ``random_cao`` networks and their ``fed_back`` versions at a
+    budget of 12, and on ``cycling_networks(cycling, ...)`` at a budget of 24.
+    Count the outcomes by (scheduled, stop reason)."""
     rng = random.Random(0x57B)
-    seen = Counter()
+    cases = []
     for case in range(draws):
         drawn = random_cao(rng, name=f"stop{case}")
-        for cao in (drawn, fed_back(drawn)):
-            raw = segment_states(cao, budget)
-            for backend in BACKENDS:
-                outcome = run(cao, budget, backend).outcome
-                assert outcome.final_state == raw[outcome.steps], (cao, backend)
-                # A scheduled run may stop at a rest or a repeat that a later
-                # override leaves (ROADMAP item 1, the xfails above).
-                if not cao.schedule and outcome.reason is StopReason.FIXED_POINT:
-                    assert raw[outcome.steps :] == [outcome.final_state] * (budget + 1 - outcome.steps)
-                if not cao.schedule and outcome.reason is StopReason.CYCLE_DETECTED:
-                    assert raw[outcome.revisit_of] == outcome.final_state, (cao, backend)
-                seen[bool(cao.schedule), outcome.reason] += 1
+        cases += [(drawn, 12), (fed_back(drawn), 12)]
+    cases += [(cao, 24) for cao in cycling_networks(cycling, 0x57C)]
+    seen = Counter()
+    for cao, budget in cases:
+        raw = segment_states(cao, budget)
+        for backend in BACKENDS:
+            outcome = run(cao, budget, backend).outcome
+            assert outcome.final_state == raw[outcome.steps], (cao, backend)
+            # A scheduled run may stop at a rest or a repeat that a later
+            # override leaves (ROADMAP item 1, the xfails above).
+            if not cao.schedule and outcome.reason is StopReason.FIXED_POINT:
+                assert raw[outcome.steps :] == [outcome.final_state] * (budget + 1 - outcome.steps)
+            if not cao.schedule and outcome.reason is StopReason.CYCLE_DETECTED:
+                # from its first visit on, the state recurs every period
+                first, period = outcome.revisit_of, outcome.steps - outcome.revisit_of
+                for j in range(first, budget + 1 - period):
+                    assert raw[j] == raw[j + period], (cao, backend, j)
+            seen[bool(cao.schedule), outcome.reason] += 1
     return seen
 
 
@@ -753,18 +764,54 @@ class TestStopRule:
     """What a run's outcome says about the raw trajectory."""
 
     def test_outcomes_hold_on_the_raw_trajectory(self):
-        # 200 runs; 78 unscheduled fixed points and 6 unscheduled cycles
-        seen = stop_rule_outcomes(50)
+        # 326 runs; 80 unscheduled fixed points and 92 unscheduled cycles, 86
+        # of them on the cycling networks
+        seen = stop_rule_outcomes(50, 60)
         assert seen[False, StopReason.FIXED_POINT] >= 70
-        assert seen[False, StopReason.CYCLE_DETECTED] >= 6
+        assert seen[False, StopReason.CYCLE_DETECTED] >= 85
         assert sum(seen[True, reason] for reason in StopReason) >= 50
 
     @pytest.mark.slow
     def test_outcomes_hold_on_the_raw_trajectory_over_more_draws(self):
-        # 1 600 runs; 588 unscheduled fixed points and 66 unscheduled cycles
-        seen = stop_rule_outcomes(400)
+        # 2 206 runs; 592 unscheduled fixed points and 454 unscheduled cycles
+        seen = stop_rule_outcomes(400, 300)
         assert seen[False, StopReason.FIXED_POINT] >= 500
-        assert seen[False, StopReason.CYCLE_DETECTED] >= 60
+        assert seen[False, StopReason.CYCLE_DETECTED] >= 400
+
+
+def where_check_stops(cao, steps):
+    """The step ``check_equivalence(cao, steps)`` stops at, read off the raw
+    trajectory: the first k whose step leaves the state unchanged or would
+    drive a cardinal negative, else ``steps``; and why it stops there."""
+    raw = segment_states(cao, steps)
+    for k in range(steps):
+        if len(raw) == k + 1:
+            return k, "violation"
+        if raw[k + 1] == raw[k]:
+            return k, "rest"
+    return steps, "budget"
+
+
+class TestWhereCheckStops:
+    """The step at which ``check_equivalence``'s lockstep stops."""
+
+    def test_check_stops_where_the_raw_trajectory_rests_or_violates(self):
+        rng = random.Random(0xC4EC)
+        cases = []
+        for case in range(48):
+            drawn = random_cao(rng, name=f"check{case}")
+            cases += [drawn, fed_back(drawn)]
+        for case in range(16):
+            for scheduled in (False, True):
+                cases.append(wide_cao(rng, with_schedule=scheduled, name=f"wide{case}"))
+        # 128 networks: 43 rest, 18 violate and 67 still move at the budget
+        seen = Counter()
+        for cao in cases:
+            k, why = where_check_stops(cao, 12)
+            assert check_equivalence(cao, 12).steps == k, (cao, why)
+            seen[why] += 1
+        print(dict(seen))
+        assert seen["rest"] >= 40 and seen["violation"] >= 15 and seen["budget"] >= 50
 
 
 def trace_by_hand(records, names, fmt) -> str:
