@@ -20,6 +20,13 @@ its transformant once, not once per operand, so each entry reads the carry
 of a single representative operand; the group minimum makes all of a
 group's carries equal, so any operand serves. ``transfer_matrix`` gives
 the same operator as sparse cells, for ``snsq matrix`` to print.
+
+A step does no arithmetic whose result is known exactly. An entity whose
+inverse radix is the shared zero (a sink, an operand of a disabled operator;
+``build_operators`` stores it for every zero radix) keeps its cardinal
+itself, since its radix is 0. A rational operand whose partial carry is the
+common one keeps exactly 0, since ``s − r·(s/r)`` is 0. An exact 0 takes its
+first feed itself, since ``0 + t`` is ``t``; every other feed is added.
 """
 
 from __future__ import annotations
@@ -140,11 +147,25 @@ def step_general(
     state: Vector, ops: StateOperators, mode: Mode = Mode.Q_PLUS, step: int = 0
 ) -> tuple[Vector, Vector]:
     """One step with full grouping; returns the new state and the common-carry
-    vector. In Q_MINUS mode each entry of the new state is post-checked."""
-    commons = common_carry(ops.partition, partial_carries(state, ops))
-    new = [s - r * c for s, r, c in zip(state, ops.radix, commons)]
+    vector. In Q_MINUS mode each entry of the new state is post-checked.
+
+    Each entity keeps ``s − r·c`` plus its feeds, with no arithmetic where the
+    result is known: an entity whose inverse radix is the shared zero keeps
+    ``s`` itself (r = 0), a rational operand whose partial carry equals the
+    common one keeps exactly 0 (c = s/r), and an exact 0 takes its first feed
+    ``t`` itself (0 + t = t).
+    """
+    partials = partial_carries(state, ops)
+    commons = common_carry(ops.partition, partials)
+    new = [
+        s if inv is _ZERO else _ZERO if not floor and c == p else s - r * c
+        for s, r, inv, floor, p, c in zip(
+            state, ops.radix, ops.inverse_radix, ops.floor_mask, partials, commons
+        )
+    ]
     for image, representative, coefficient in ops.conversion:
-        new[image] += coefficient * commons[representative]
+        t = coefficient * commons[representative]
+        new[image] = t if new[image] is _ZERO else new[image] + t
     if mode is Mode.Q_MINUS:
         for e, value in enumerate(new):
             if value < 0:

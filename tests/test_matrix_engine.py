@@ -4,9 +4,12 @@ from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow, densify
 from corpus import fed_back, random_cao, wide_cao
+from snsq.dsl import parse, serialize
 from snsq.matrix_engine import (
     build_operators,
     common_carry,
@@ -190,6 +193,109 @@ class TestSteps:
         assert state == (9, 0) and commons == (0, 0)
 
 
+def both_steps(cao):
+    """Step 0 of ``cao`` on each engine: the new state, or the refusal's
+    (entity, value)."""
+    out = []
+    for stepper in (
+        lambda: step(cao.initial_state(), cao)[0],
+        lambda: step_general(cao.initial_state(), build_operators(cao), cao.mode)[0],
+    ):
+        try:
+            out.append(stepper())
+        except NegativeCardinalError as err:
+            out.append((err.entity, err.value))
+    return out
+
+
+class TestExactResults:
+    """``step_general`` skips arithmetic whose result it knows: an entity with
+    the shared zero inverse radix keeps its cardinal, a rational operand whose
+    partial carry is the common one keeps 0, and an exact 0 takes its first
+    feed. Each case must step as ``s − r·c`` plus every feed, as on the
+    operator engine."""
+
+    def test_a_rational_tie_leaves_every_tied_operand_zero(self, monkeypatch):
+        cao = Cao(
+            "tie",
+            (Entity(0, "a", 2), Entity(1, "b", 3), Entity(2, "c", 0)),
+            (Operator(CarryKind.RATIONAL_EXACT, (Operand(0, 2), Operand(1, 3)), (Image(2, 1),)),),
+        )
+        assert both_steps(cao) == [(0, 0, 1)] * 2
+        subtractions = 0
+        real = Fr.__sub__
+
+        def counting(a, b):
+            nonlocal subtractions
+            subtractions += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fr, "__sub__", counting)
+        step_general(cao.initial_state(), build_operators(cao))
+        assert subtractions == 0
+        monkeypatch.undo()
+        assert check_equivalence(cao, 5) == EquivalenceReport(True, 1)
+
+    def test_an_integer_operand_keeps_its_cardinal_mod_radix(self):
+        cao = Cao(
+            "floor",
+            (Entity(0, "a", 5), Entity(1, "b", 0)),
+            (Operator(CarryKind.INTEGER_FLOOR, (Operand(0, 2),), (Image(1, 1),)),),
+        )
+        assert both_steps(cao) == [(1, 2)] * 2
+        assert check_equivalence(cao, 5) == EquivalenceReport(True, 1)
+
+    def test_a_drained_entity_fed_twice_gets_both_feeds(self):
+        # x empties (4/2 = 2 is its own common carry), then takes 1·3 from y
+        # and 2·5 from z in the same step
+        cao = Cao(
+            "refill",
+            (Entity(0, "x", 4), Entity(1, "y", 3), Entity(2, "z", 5)),
+            (
+                Operator(CarryKind.RATIONAL_EXACT, (Operand(0, 2),), (Image(1, 1),)),
+                Operator(CarryKind.RATIONAL_EXACT, (Operand(1, 1),), (Image(0, 1),)),
+                Operator(CarryKind.RATIONAL_EXACT, (Operand(2, 1),), (Image(0, 2),)),
+            ),
+        )
+        assert both_steps(cao) == [(13, 2, 0)] * 2
+        assert check_equivalence(cao, 5) == EquivalenceReport(True, 5)
+
+    def test_a_negative_feed_into_an_exact_zero_is_refused_alike(self):
+        cao = Cao(
+            "undercut",
+            (Entity(0, "a", 4), Entity(1, "b", 6)),
+            (
+                Operator(CarryKind.RATIONAL_EXACT, (Operand(0, 2),), (Image(1, 1),)),
+                Operator(CarryKind.RATIONAL_EXACT, (Operand(1, 3),), (Image(0, -1),)),
+            ),
+            mode=Mode.Q_MINUS,
+        )
+        assert both_steps(cao) == [("a", -2)] * 2
+        assert check_equivalence(cao, 5) == EquivalenceReport(True, 0)
+
+    def test_sinks_and_disabled_operands_keep_their_cardinal_objects(self):
+        rng = random.Random(0x1D)
+        networks = [random_cao(rng, with_schedule=True, name=f"idle{case}") for case in range(150)]
+        networks += [wide_cao(rng, with_schedule=True, name=f"wide{case}") for case in range(4)]
+        kept = disabled = 0  # entities checked; of them, operands of a disabled operator
+        for cao in networks:
+            for _, _, operators in schedule_segments(cao):
+                ops = build_operators(cao, operators)
+                enabled = [op for op in operators if op.enabled]
+                drained = {e for op in enabled for e in op.operand_entities()}
+                fed = {e for op in enabled for e in op.image_entities()}
+                off = {e for op in operators if not op.enabled for e in op.operand_entities()}
+                state = tuple(Fr(rng.randint(0, 90), rng.randint(1, 6)) for _ in range(cao.size))
+                new, _ = step_general(state, ops)
+                for e in range(cao.size):
+                    if e not in drained and e not in fed:
+                        assert new[e] is state[e], (cao.name, e)
+                        kept += 1
+                        disabled += e in off
+        # drawn as they are: 520 entities checked, 54 of them disabled operands
+        assert kept > 400 and disabled > 40, (kept, disabled)
+
+
 class TestTransferMatrix:
     """``transfer_matrix``, the table ``snsq matrix`` prints, is the operator
     ``step_general`` steps with: next = state + T · commons."""
@@ -275,6 +381,45 @@ class TestBackendAgreement:
         # Most trajectories keep moving for all 20 steps; the rest end in a
         # qminus violation that both backends must report alike.
         assert sum(report.steps == 20 for report in reports) >= 12
+
+
+@st.composite
+def drawn_networks(draw):
+    """A seeded ``random_cao`` draw of up to 64 entities in either mode, with
+    or without a schedule, as drawn or ``fed_back``; or a ``wide_cao`` draw."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "fed_back", "wide")))
+    if shape == "wide":
+        return wide_cao(rng, with_schedule=draw(st.booleans()))
+    cao = random_cao(
+        rng,
+        max_entities=draw(st.integers(2, 64)),
+        mode=draw(st.sampled_from(tuple(Mode))),
+        with_schedule=draw(st.booleans()),
+    )
+    return fed_back(cao) if shape == "fed_back" else cao
+
+
+def assert_agreement_and_round_trip(cao, budget):
+    assert check_equivalence(cao, budget).equivalent
+    assert parse(serialize(cao)).cao == cao
+
+
+class TestDifferentialSweep:
+    """Both engines agree, and the text form round-trips, on networks drawn
+    well beyond the gate's 2–8 entities (McKeeman, "Differential testing for
+    software", DTJ 10(1), 1998)."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(drawn_networks())
+    def test_drawn_networks_agree_and_round_trip(self, cao):
+        assert_agreement_and_round_trip(cao, 24)
+
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(drawn_networks())
+    def test_drawn_networks_agree_and_round_trip_at_depth(self, cao):
+        assert_agreement_and_round_trip(cao, 200)
 
 
 def test_matrix_engine_does_not_import_op_engine():

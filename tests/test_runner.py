@@ -31,6 +31,7 @@ from snsq.rationals import format_rational
 from snsq.runner import (
     BACKENDS,
     TRACE_FORMATS,
+    EquivalenceReport,
     RunOutcome,
     RunResult,
     StepRecord,
@@ -475,6 +476,32 @@ class TestEquivalence:
     def test_matching_violations_count_as_agreement(self):
         report = check_equivalence(build_signed_inflow(loss=-5), 5)
         assert report.equivalent and report.steps == 0
+
+    def test_decay_takes_one_add_and_one_sub_a_step_on_both_backends(self, monkeypatch):
+        # a step of decay leaves c, and whichever of a and b sets the common
+        # carry, an exact 0, and an exact 0 takes its first feed itself: only
+        # the other of a and b subtracts and adds. 1 000 steps take 1 001 engine steps, the last
+        # telling a rest at the budget from the step limit.
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(Fr, name)
+
+            def counted(a, b):
+                calls[name] += 1
+                return real(a, b)
+
+            return counted
+
+        for name in ("__add__", "__sub__"):
+            monkeypatch.setattr(Fr, name, counting(name))
+        for backend in BACKENDS:
+            calls.clear()
+            outcome = drain(iter_run(decay(), 1000, backend))
+            assert outcome.final_state[0].denominator.bit_length() > 1500
+            assert calls == {"__add__": 1001, "__sub__": 1001}, backend
+        monkeypatch.undo()
+        assert check_equivalence(decay(), 1000) == EquivalenceReport(True, 1000)
 
     def test_state_divergence_is_localized(self, monkeypatch):
         real = op_engine.step
