@@ -49,24 +49,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load(path: str) -> tuple[Cao | None, int]:
-    """Parse and validate a file; print diagnostics. Returns (cao, exit_code)."""
+def _load(path: str) -> Cao | None:
+    """Parse and validate a file; print diagnostics. Returns None on failure."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         print(f"snsq: cannot read {path}: {err.strerror}", file=sys.stderr)
-        return None, 1
+        return None
     except UnicodeDecodeError as err:
         reason = f"not UTF-8 text ({err.reason} at byte {err.start})"
         print(f"snsq: cannot read {path}: {reason}", file=sys.stderr)
-        return None, 1
+        return None
     result = dsl.parse(text)
     for diag in result.diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)
-    if result.cao is None:
-        return None, 1
-    return result.cao, 0
+    return result.cao
 
 
 def _step_budget(text: str) -> int:
@@ -231,9 +229,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cao, status = _load(args.file)
+    cao = _load(args.file)
     if cao is None:
-        return status
+        return 1
     try:
         status = args.func(args, cao)
         sys.stdout.flush()

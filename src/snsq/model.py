@@ -37,6 +37,7 @@ concern, not a structural property.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -163,9 +164,9 @@ class Override:
 class Cao:
     """A named network of entities and operators, with an optional schedule.
 
-    The schedule maps a step index to the overrides taking effect at that
-    step. Overrides persist: a radix changed at step 1 stays changed until a
-    later step overrides it again.
+    The schedule maps a step index (an int, never rounded) to the overrides
+    taking effect at that step. Overrides persist: a radix changed at step 1
+    stays changed until a later step overrides it again.
     """
 
     name: str
@@ -178,7 +179,7 @@ class Cao:
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(
-            self, "schedule", {int(k): tuple(v) for k, v in self.schedule.items()}
+            self, "schedule", {operator.index(k): tuple(v) for k, v in self.schedule.items()}
         )
 
     @property

@@ -23,8 +23,8 @@ record — ``steps + 1`` records in all — and returns the ``RunOutcome``.
 keeping no records (``drain``) or writing each to the trace file as it is
 made (``write_trace``): at most one step's record is alive while the next
 step is taken, and only the cycle set grows with the run, one digest per
-visited state. The trace renderer keeps the decimal texts of the last two
-records' ints, so each distinct int is converted once across them.
+visited state. The trace renderer keeps the decimal texts of recent ints in
+an LRU of 8 texts per entity, so an int is converted once while it recurs.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -37,6 +37,7 @@ segment and deciding once per step whether the step changed nothing.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -258,25 +259,15 @@ def check_equivalence(cao: Cao, steps: int) -> EquivalenceReport:
 def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepRecord], str]]:
     """The header of a trace and the function that renders one record of it:
     a JSON line, or one CSV row per entity. ``text`` writes what
-    ``format_rational`` writes, but converts each distinct int once over two
-    adjacent records and keeps no other texts: CPython converts a big int to
-    decimal in quadratic time."""
-    texts: dict[int, str] = {}
-    last: dict[int, str] = {}
-
-    def new_text(n: int) -> str:
-        texts[n] = out = last.get(n) or _decimal(n)
-        return out
+    ``format_rational`` writes, but keeps an LRU of 8 texts per entity (two
+    records' state and carry ints), as CPython converts a big int to decimal in
+    quadratic time."""
+    decimal = functools.lru_cache(maxsize=8 * len(names))(_decimal)
 
     def text(v: Fraction) -> str:
         # Fraction's slots: its numerator and denominator properties cost more than a hit
         num, den = v._numerator, v._denominator
-        num_text = texts.get(num) or new_text(num)
-        return num_text if den == 1 else f"{num_text}/{texts.get(den) or new_text(den)}"
-
-    def next_record() -> None:
-        nonlocal texts, last
-        texts, last = {}, texts
+        return decimal(num) if den == 1 else f"{decimal(num)}/{decimal(den)}"
 
     if fmt == "jsonl":
         # Text joined directly, in json.dumps's key order and compact
@@ -291,7 +282,6 @@ def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepReco
             return "{" + ",".join(pairs) + "}"
 
         def line(rec: StepRecord) -> str:
-            next_record()
             out = f'{{"step":{rec.step},"state":{entries(every, rec.state)}'
             if rec.common_carry is not None:
                 out += f',"common_carry":{entries(every, rec.common_carry)}'
@@ -324,7 +314,6 @@ def _renderer(names: tuple[str, ...], fmt: str) -> tuple[str, Callable[[StepReco
         cells = [csv_row(["", name, ""])[:-1] for name in names]
 
         def rows(rec: StepRecord) -> str:
-            next_record()
             step = str(rec.step)
             return "".join(f"{step}{cell}{text(value)}\n" for cell, value in zip(cells, rec.state))
 

@@ -205,8 +205,8 @@ def traced_peak(fn) -> int:
 
 def test_run_keeps_no_records(capsys, tmp_path):
     # the records of 1000 steps outweigh a streamed run's peak, traced or not,
-    # more than 10 to 1: the trace renderer keeps two records' texts, and one
-    # that kept every record's would peak near the records themselves
+    # more than 10 to 1: the trace renderer keeps an LRU of 8 texts per entity,
+    # and one that kept every record's would peak near the records themselves
     path = tmp_path / "decay.sns"
     path.write_text(decay_text(random.Random(6)), encoding="utf-8")
     cao = parse(path.read_text(encoding="utf-8")).cao

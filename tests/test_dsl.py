@@ -432,6 +432,16 @@ RECOVERY_CASES = [
         _err("unknown entity 'zz'", 4, 39, 2),
         NEXT,
     ]),
+    ("override-negative-index", _body("at 1 { op -1 enabled = false; op 0 radix zz = 1; }"), [
+        _err("operator index must be a non-negative integer", 4, 13, 2),  # the statement is read on
+        _err("unknown entity 'zz'", 4, 44, 2),
+        NEXT,
+    ]),
+    ("override-fractional-index", _body("at 1 { op 1/2 enabled = false; op 0 radix zz = 1; }"), [
+        _err("operator index must be a non-negative integer", 4, 13, 3),
+        _err("unknown entity 'zz'", 4, 45, 2),
+        NEXT,
+    ]),
 ]
 
 

@@ -98,6 +98,11 @@ class TestCarries:
         carries = (Fr(5), Fr(3), Fr(9), Fr(7))
         assert common_carry(((0, 1),), carries) == (3, 3, 9, 7)
 
+    def test_an_empty_group_changes_nothing(self):
+        # a valid network has none (empty-operands), but the function takes any partition
+        carries = (Fr(5), Fr(3), Fr(9))
+        assert common_carry(((), (1, 2), ()), carries) == (5, 3, 3)
+
     def test_ref7_step0_commons(self):
         ops = build_operators(build_ref7())
         commons = common_carry(ops.partition, partial_carries(REF7_STATES[0], ops))

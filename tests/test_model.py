@@ -202,6 +202,10 @@ class TestValidation:
     def test_library_only_rules(self, code, at, cao):
         assert [(v.code, v.at) for v in validate_cao(cao)] == [(code, at)]
 
+    def test_a_violation_prints_as_its_message(self):
+        (v,) = validate_cao(two_entities(schedule={-1: (Override(0, "enabled", None, True),)}))
+        assert v.code == "schedule-negative-step" and str(v) == v.message
+
     def test_schedule_negative_coeff_fine_in_qminus(self):
         cao = two_entities(
             mode=Mode.Q_MINUS, schedule={0: (Override(0, "coeff", 1, Fr(-2)),)}
@@ -221,6 +225,19 @@ class TestCoercion:
             Entity(0, "x", 0.5)
         with pytest.raises(TypeError):
             Operand(0, 0.5)
+
+    @pytest.mark.parametrize("key", [0.9, "1", Fr(5, 2), Fr(1)])
+    def test_schedule_keys_must_be_ints(self, key):
+        # a step index is never rounded: 0.9 taken as step 0 would end the run at once
+        with pytest.raises(TypeError):
+            two_entities(schedule={key: (Override(0, "enabled", None, False),)})
+
+    def test_schedule_keys_are_taken_by_their_index(self):
+        class Step:
+            def __index__(self):
+                return 3
+
+        assert two_entities(schedule={Step(): []}).schedule == {3: ()}
 
     def test_bad_override_field(self):
         with pytest.raises(ValueError):

@@ -960,9 +960,9 @@ class TestTraces:
     @pytest.mark.parametrize("fmt", TRACE_FORMATS)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_written_bytes_match_records_rendered_one_by_one(self, tmp_path, fmt, backend):
-        # the renderer converts each int once over two adjacent records; on
-        # decay's 200 steps ints recur within and across records, and the big
-        # network's records hold ints past the int<->str limit
+        # the renderer keeps an LRU of 8 texts per entity; on decay's 200 steps
+        # ints recur within and across records, and the big network's records
+        # hold ints past the int<->str limit
         cases = [(cao, 5) for cao in STOPPING.values()]
         cases += [(parse(decay_text(random.Random(seed))).cao, 200) for seed in range(3)]
         cases.append((parse(PAST_THE_LIMIT_TEXT).cao, 5))
@@ -972,6 +972,21 @@ class TestTraces:
             records = run(cao, steps, backend).records
             want = trace_by_hand(records, cao.entity_names(), fmt).encode("utf-8")
             assert target.read_bytes() == want, cao.name
+
+    @pytest.mark.parametrize(
+        "backend, fmt, conversions",
+        [("operator", "jsonl", 6007), ("operator", "csv", 5003), ("matrix", "jsonl", 5005), ("matrix", "csv", 5003)],
+    )
+    def test_each_int_is_converted_once_while_it_recurs(self, monkeypatch, backend, fmt, conversions):
+        # the LRU keeps an int's text while it recurs, so each distinct int of
+        # decay's trace is converted once: 5 003 in its 1 001 states, 5 005 and
+        # 6 007 with what jsonl adds (operator jsonl reads 26 005 ints in all)
+        cao = parse(decay_text(random.Random(6))).cao
+        calls = []
+        decimal = runner._decimal
+        monkeypatch.setattr(runner, "_decimal", lambda n: calls.append(n) or decimal(n))
+        render_trace(iter_run(cao, 1000, backend), cao.entity_names(), fmt)
+        assert len(calls) == conversions
 
     def test_unknown_format(self):
         assert [render_trace((), (), fmt) for fmt in TRACE_FORMATS] == ["", "step,entity,cardinal\n"]
