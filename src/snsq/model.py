@@ -33,6 +33,11 @@ that element's source text without knowing the rules.
 
 Cycles in the operator topology are allowed; termination is the runner's
 concern, not a structural property.
+
+Entity and operator indices, like schedule keys, are taken by
+``operator.index`` when a value is built: a float, a string or a Fraction
+raises TypeError there, and is never rounded to an index. An ``int`` is kept
+as given, as a frozen field's set costs more than the type test.
 """
 
 from __future__ import annotations
@@ -86,6 +91,8 @@ class Entity:
     initial: Fraction
 
     def __post_init__(self):
+        if type(self.index) is not int:
+            object.__setattr__(self, "index", operator.index(self.index))
         object.__setattr__(self, "initial", as_rational(self.initial))
 
 
@@ -97,6 +104,8 @@ class Operand:
     radix: Fraction
 
     def __post_init__(self):
+        if type(self.entity) is not int:
+            object.__setattr__(self, "entity", operator.index(self.entity))
         object.__setattr__(self, "radix", as_rational(self.radix))
 
 
@@ -108,6 +117,8 @@ class Image:
     coefficient: Fraction
 
     def __post_init__(self):
+        if type(self.entity) is not int:
+            object.__setattr__(self, "entity", operator.index(self.entity))
         object.__setattr__(self, "coefficient", as_rational(self.coefficient))
 
 
@@ -156,6 +167,10 @@ class Override:
     def __post_init__(self):
         if self.field not in ("radix", "coeff", "enabled"):
             raise ValueError(f"unknown override field {self.field!r}")
+        if type(self.operator) is not int:
+            object.__setattr__(self, "operator", operator.index(self.operator))
+        if self.entity is not None and type(self.entity) is not int:
+            object.__setattr__(self, "entity", operator.index(self.entity))
         if self.field != "enabled":
             object.__setattr__(self, "value", as_rational(self.value))
 

@@ -13,7 +13,12 @@ Stop conditions, in precedence order when several hold at once:
   (exact tuple equality; a period-1 repeat is reported as a fixed point by
   the rule above, never as a cycle). The run keeps one digest per state, the
   hash of its (numerator, denominator) pairs; any digest is sound, as a repeat
-  is confirmed, and the earlier step found, by replaying the run exactly.
+  is confirmed, and the earlier step found, by replaying the run exactly. A
+  run still going at step 32 asks once whether its network can cycle at all
+  (``_cannot_cycle``): on a valid unscheduled network whose enabled
+  operators all lose mass, or all gain it, the total of the cardinals moves
+  strictly on every step that changes the state, so no state comes back, and
+  the run drops its digests.
 
 ``iter_run`` yields the trajectory one record at a time: one record per
 executed step carrying the pre-step state, the per-entity common-carry
@@ -23,8 +28,9 @@ record — ``steps + 1`` records in all — and returns the ``RunOutcome``.
 keeping no records (``drain``) or writing each to the trace file as it is
 made (``write_trace``): at most one step's record is alive while the next
 step is taken, and only the cycle set grows with the run, one digest per
-visited state. The trace renderer keeps the decimal texts of recent ints in
-an LRU of 8 texts per entity, so an int is converted once while it recurs.
+visited state, until a run that cannot cycle drops it at step 32. The
+trace renderer keeps the decimal texts of recent ints in an LRU of 8 texts
+per entity, so an int is converted once while it recurs.
 
 ``check_equivalence`` drives the firing engine and the matrix engine in
 lockstep and reports the first step, entity, and values where they disagree;
@@ -41,6 +47,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import operator
 from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
@@ -48,7 +55,7 @@ from enum import Enum
 from fractions import Fraction
 
 from snsq import matrix_engine, op_engine
-from snsq.model import Cao, NegativeCardinalError, Operator, schedule_segments
+from snsq.model import Cao, NegativeCardinalError, Operator, schedule_segments, validate_cao
 from snsq.op_engine import Firing
 from snsq.rationals import _decimal
 
@@ -136,6 +143,38 @@ def _digest(state: State) -> int:
     return hash(tuple([(v.numerator, v.denominator) for v in state]))
 
 
+# The step at which a run asks ``_cannot_cycle``: the check costs about as
+# much as 15 to 30 digests, so a run that ends sooner never pays for it.
+_DECIDE_AT = 32
+
+
+def _cannot_cycle(cao: Cao) -> bool:
+    """True only when no run of ``cao`` can repeat a state: the network is
+    unscheduled and valid, and every enabled operator's balance, the sum of
+    its coefficients less the sum of its radices, has one strict sign.
+
+    On a valid network every state and common carry c_o is non-negative, and
+    a step changes the total of the cardinals by the sum of c_o times the
+    balance of o. With one strict sign, a step that leaves the total as it
+    was has every c_o = 0 and changes nothing, a fixed point; every other
+    step moves the total strictly the same way, so no state comes back. The
+    signs are taken in ints over a common denominator.
+    """
+    if cao.schedule:  # an override can flip a balance
+        return False
+    gains = set()
+    for op in cao.operators:
+        if not op.enabled:
+            continue
+        values = [im.coefficient for im in op.images] + [-o.radix for o in op.operands]
+        common = math.lcm(*[v.denominator for v in values])
+        balance = sum([v.numerator * (common // v.denominator) for v in values])
+        if balance == 0:  # a conservative operator can carry mass round a ring
+            return False
+        gains.add(balance > 0)
+    return len(gains) == 1 and not validate_cao(cao)
+
+
 def iter_run(
     cao: Cao, max_steps: int = 1000, backend: str = "operator"
 ) -> Generator[StepRecord, None, RunOutcome]:
@@ -148,8 +187,11 @@ def iter_run(
     (``_first_visit``), so any digest is sound: a cycle costs at most about
     twice its steps, a collision without a repeat replays the run so far, and
     a network built to collide (int hashes are not randomised) is slow, never
-    wrong. ``max_steps`` must be an int. Bad arguments raise when the generator
-    is first advanced.
+    wrong. At step 32 the run asks once whether the network can cycle at
+    all (``_cannot_cycle``); if it cannot, the digests are dropped and no
+    more are made, so such a run holds O(state) memory however long it runs.
+    ``max_steps`` must be an int. Bad arguments raise when the generator is
+    first advanced.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -157,7 +199,7 @@ def iter_run(
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
 
-    seen = {_digest(cao.initial_state())}
+    seen: set[int] | None = {_digest(cao.initial_state())}
     trajectory = _trajectory(cao, backend, schedule_segments(cao))
     for k, state, nxt, commons, firings, violation in trajectory:
         if violation is not None:
@@ -169,6 +211,11 @@ def iter_run(
         else:
             yield StepRecord(k, state, commons, firings)
             del state, commons, firings  # so no yielded record is alive during the next step
+            if seen is None:
+                continue
+            if k == _DECIDE_AT and _cannot_cycle(cao):
+                seen = None  # no state can come back: the set would only grow
+                continue
             digest = _digest(nxt)
             if digest not in seen:
                 seen.add(digest)

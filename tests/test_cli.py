@@ -211,14 +211,16 @@ def test_run_keeps_no_records(capsys, tmp_path):
     path.write_text(decay_text(random.Random(6)), encoding="utf-8")
     cao = parse(path.read_text(encoding="utf-8")).cao
     collected = traced_peak(lambda: runner.run(cao, 1000))
+    main(["run", str(path), "--steps", "1"])  # argparse's one-time build stays out of the peaks
     for trace in ([], ["--trace", str(tmp_path / "t.jsonl")]):
         streamed = traced_peak(lambda: main(["run", str(path), "--steps", "1000", *trace]))
         assert capsys.readouterr().out.startswith("a = ")
-        assert streamed < collected / 2, (trace, streamed, collected)
+        assert streamed < collected / 10, (trace, streamed, collected)
 
 
 def test_run_keeps_no_states(capsys, tmp_path):
-    # the cycle test holds one hash per visited state, not the state
+    # the cycle test holds at most one hash per visited state, not the state;
+    # a run of decay, which cannot cycle, drops even those at step 32
     path = tmp_path / "decay.sns"
     path.write_text(decay_text(random.Random(6)), encoding="utf-8")
     cao = parse(path.read_text(encoding="utf-8")).cao

@@ -239,6 +239,36 @@ class TestCoercion:
 
         assert two_entities(schedule={Step(): []}).schedule == {3: ()}
 
+    @pytest.mark.parametrize("index", [0.0, "0", Fr(0)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda i: Entity(i, "x", 1),
+            lambda i: Operand(i, 2),
+            lambda i: Image(i, 2),
+            lambda i: Override(i, "enabled", None, False),
+            lambda i: Override(0, "radix", i, 2),
+            lambda i: Override(0, "coeff", i, 2),
+        ],
+        ids=["entity", "operand", "image", "override-operator", "radix-entity", "coeff-entity"],
+    )
+    def test_indices_must_be_ints(self, build, index):
+        # validate_cao indexes tuples with them: a float raised TypeError there
+        with pytest.raises(TypeError):
+            build(index)
+
+    def test_indices_are_taken_by_their_index(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        assert Entity(Three(), "x", 1).index == 3
+        assert Operand(Three(), 2).entity == Image(Three(), 2).entity == 3
+        override = Override(Three(), "coeff", Three(), 2)
+        assert (override.operator, override.entity) == (3, 3)
+        assert type(override.operator) is type(override.entity) is int
+        assert Override(0, "enabled", None, True).entity is None
+
     def test_bad_override_field(self):
         with pytest.raises(ValueError):
             Override(0, "frobnicate", 0, Fr(1))

@@ -9,6 +9,8 @@ from fractions import Fraction as Fr
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLES, REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
 from corpus import PAST_THE_LIMIT_TEXT, decay_text, fed_back, random_cao, wide_cao, wide_override
@@ -461,6 +463,154 @@ class TestCycleRule:
         monkeypatch.setattr(runner, "hash", lambda state: 0, raising=False)
         networks = cycling_networks(300, 0x5CA1E, max_ring=10, max_tail=24)
         assert cycles_matching_the_dict_rule(networks, 200, backend) >= 250
+
+
+def refused_networks():
+    """``decay`` changed in one way each, so that ``runner._cannot_cycle``
+    must refuse it. All but the last still move for 1 000 steps; with every
+    operator disabled the run rests at once."""
+    base = decay()
+    a, b, c = base.entities
+    fuse, spread = base.operators
+    with_d = (a, b, c, Entity(3, "d", 1))
+    return {
+        "scheduled": replace(base, schedule={1: (Override(0, "radix", 0, 2),)}),
+        "conservative": replace(base, operators=(fuse, replace(spread, operands=(Operand(2, 4),)))),
+        "mixed signs": replace(base, operators=(fuse, replace(spread, images=(Image(0, 3), Image(1, 3))))),
+        "negative initial": replace(base, entities=(a, b, c, Entity(3, "d", -1))),
+        "zero radix": replace(
+            base,
+            entities=with_d,
+            operators=(fuse, spread, Operator(RATIONAL, (Operand(3, 0),), (Image(0, 1),), False)),
+        ),
+        "drained twice": replace(
+            base, operators=(fuse, spread, Operator(RATIONAL, (Operand(2, 10),), (Image(0, 1),)))
+        ),
+        "qplus negative coefficient": replace(
+            base, entities=with_d, operators=(fuse, replace(spread, images=(*spread.images, Image(3, -1))))
+        ),
+        "every operator disabled": replace(
+            base, operators=(replace(fuse, enabled=False), replace(spread, enabled=False))
+        ),
+    }
+
+
+REFUSED = refused_networks()
+
+
+def gainy_decay():
+    """``decay`` with every operator gaining mass: c takes 6 per fused carry,
+    and a and b take 4 each per carry of c."""
+    base = decay()
+    fuse, spread = base.operators
+    return replace(
+        base,
+        operators=(
+            replace(fuse, images=(Image(2, 6),)),
+            replace(spread, images=(Image(0, 4), Image(1, 4))),
+        ),
+    )
+
+
+def digests_made(monkeypatch):
+    """A counter of the ``runner._digest`` calls made from now on."""
+    calls = Counter()
+    real = runner._digest
+
+    def counting(state):
+        calls["digests"] += 1
+        return real(state)
+
+    monkeypatch.setattr(runner, "_digest", counting)
+    return calls
+
+
+def one_signed(cao, gain):
+    """``cao`` with each operator's radices rescaled to sum to a half (``gain``)
+    or to one and a half times its coefficients, where these sum above 0: all
+    such operators then gain mass, or all lose it."""
+    operators = []
+    for op in cao.operators:
+        coefficients = sum(im.coefficient for im in op.images)
+        if coefficients > 0:
+            scale = coefficients * (Fr(1, 2) if gain else Fr(3, 2)) / sum(o.radix for o in op.operands)
+            op = replace(op, operands=tuple(Operand(o.entity, o.radix * scale) for o in op.operands))
+        operators.append(op)
+    return replace(cao, operators=tuple(operators))
+
+
+def never_repeats_and_matches_the_dict_rule(seed, shape, gain):
+    """Draw an unscheduled network of ``shape``, tilted to one sign by
+    ``one_signed`` unless ``gain`` is None; if ``_cannot_cycle`` accepts it,
+    its states never repeat within 64 steps and ``run`` is ``dict_run`` on
+    both backends."""
+    rng = random.Random(seed)
+    cao = wide_cao(rng) if shape == "wide" else random_cao(rng, with_schedule=False)
+    cao = fed_back(cao) if shape == "fed back" else cao
+    cao = cao if gain is None else one_signed(cao, gain)
+    assume(not validate_cao(cao) and runner._cannot_cycle(cao))
+    for backend in BACKENDS:
+        reference = dict_run(cao, 64, backend)
+        assert reference.outcome.reason is not StopReason.CYCLE_DETECTED
+        assert run(cao, 64, backend) == reference
+
+
+SHAPES = st.sampled_from(("random", "fed back", "wide"))
+GAINS = st.sampled_from((None, True, False))
+
+
+class TestCannotCycle:
+    """On a valid unscheduled network whose enabled operators all lose mass,
+    or all gain it, no state comes back; a run past step 32 drops its digests."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_decay_makes_at_most_33_digests(self, backend, monkeypatch):
+        calls = digests_made(monkeypatch)
+        for cao in (decay(), gainy_decay()):
+            assert runner._cannot_cycle(cao)
+            calls.clear()
+            outcome = drain(iter_run(cao, 1000, backend))
+            assert (outcome.reason, outcome.steps) == (StopReason.STEP_LIMIT, 1000)
+            assert calls["digests"] <= 33, cao
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_a_refused_network_keeps_a_digest_per_state(self, name, backend, monkeypatch):
+        cao = REFUSED[name]
+        assert not runner._cannot_cycle(cao)
+        calls = digests_made(monkeypatch)
+        outcome = drain(iter_run(cao, 1000, backend))
+        assert outcome.reason is not StopReason.CYCLE_DETECTED
+        steps = 0 if name == "every operator disabled" else 1000
+        assert outcome.steps == steps and calls["digests"] == steps + 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rings_still_report_cycles_found_after_step_32(self, backend):
+        # a unit going round 40 entities, and random rings whose tails drain
+        # for up to 40 steps: each cycle is found after the decision
+        ring = Cao(
+            "ring40",
+            tuple(Entity(i, f"e{i}", int(i == 0)) for i in range(40)),
+            tuple(Operator(RATIONAL, (Operand(i, 1),), (Image((i + 1) % 40, 1),)) for i in range(40)),
+        )
+        outcome = run(ring, 100, backend).outcome
+        assert (outcome.reason, outcome.steps, outcome.revisit_of) == (StopReason.CYCLE_DETECTED, 40, 0)
+        networks = cycling_networks(16, 0x1A7E, max_ring=12, max_tail=40)[3:]
+        late = [cao for cao in networks if run(cao, 100, backend).outcome.steps > 32]
+        assert cycles_matching_the_dict_rule(late, 100, backend) == len(late) >= 5
+
+    # 30 draws; on Hypothesis 6.155, 10 are runs past step 32, 5 gaining and 5 losing
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SHAPES, GAINS)
+    def test_accepted_draws_never_repeat(self, seed, shape, gain):
+        never_repeats_and_matches_the_dict_rule(seed, shape, gain)
+
+    # 400 draws; on Hypothesis 6.155, 131 are runs past step 32, 96 gaining and 35 losing
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SHAPES, GAINS)
+    def test_accepted_draws_never_repeat_over_more_draws(self, seed, shape, gain):
+        never_repeats_and_matches_the_dict_rule(seed, shape, gain)
 
 
 class TestEquivalence:
