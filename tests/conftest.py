@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from corpus import fed_back, random_cao, wide_cao
 from snsq.model import Cao, CarryKind, Entity, Image, Mode, Operand, Operator
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -87,6 +90,23 @@ def build_signed_inflow(loss=-1) -> Cao:
 def densify(cells: dict[tuple[int, int], Fr], m: int) -> tuple[tuple[Fr, ...], ...]:
     """The m-by-m grid of a table given as ``(row, column)`` cells, 0 where absent."""
     return tuple(tuple(cells.get((i, j), Fr(0)) for j in range(m)) for i in range(m))
+
+
+@st.composite
+def drawn_networks(draw):
+    """A seeded ``random_cao`` draw of up to 64 entities in either mode, with
+    or without a schedule, as drawn or ``fed_back``; or a ``wide_cao`` draw."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "fed_back", "wide")))
+    if shape == "wide":
+        return wide_cao(rng, with_schedule=draw(st.booleans()))
+    cao = random_cao(
+        rng,
+        max_entities=draw(st.integers(2, 64)),
+        mode=draw(st.sampled_from(tuple(Mode))),
+        with_schedule=draw(st.booleans()),
+    )
+    return fed_back(cao) if shape == "fed_back" else cao
 
 
 @pytest.fixture

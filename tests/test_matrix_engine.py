@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow, densify
+from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow, densify, drawn_networks
 from corpus import fed_back, random_cao, wide_cao
 from snsq.dsl import parse, serialize
 from snsq.matrix_engine import (
@@ -388,23 +387,6 @@ class TestBackendAgreement:
         assert sum(report.steps == 20 for report in reports) >= 12
 
 
-@st.composite
-def drawn_networks(draw):
-    """A seeded ``random_cao`` draw of up to 64 entities in either mode, with
-    or without a schedule, as drawn or ``fed_back``; or a ``wide_cao`` draw."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    shape = draw(st.sampled_from(("random", "fed_back", "wide")))
-    if shape == "wide":
-        return wide_cao(rng, with_schedule=draw(st.booleans()))
-    cao = random_cao(
-        rng,
-        max_entities=draw(st.integers(2, 64)),
-        mode=draw(st.sampled_from(tuple(Mode))),
-        with_schedule=draw(st.booleans()),
-    )
-    return fed_back(cao) if shape == "fed_back" else cao
-
-
 def assert_agreement_and_round_trip(cao, budget):
     assert check_equivalence(cao, budget).equivalent
     assert parse(serialize(cao)).cao == cao
@@ -428,8 +410,11 @@ class TestDifferentialSweep:
 
 
 def test_matrix_engine_does_not_import_op_engine():
+    # nor reach into Fraction's slots, as the operator engine's int arithmetic
+    # does: the cross-check backend computes with the stdlib operators
     source = Path(__file__).resolve().parent.parent / "src" / "snsq" / "matrix_engine.py"
     imported = set()
+    slots = set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
@@ -437,7 +422,10 @@ def test_matrix_engine_does_not_import_op_engine():
             module = node.module or ""
             imported.add(module)
             imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+            slots.add(f"line {node.lineno}: .{node.attr}")
     assert imported, "no imports found; is the path right?"
     assert not any(
         name == "snsq.op_engine" or name.startswith("snsq.op_engine.") for name in imported
     ), sorted(imported)
+    assert not slots, sorted(slots)

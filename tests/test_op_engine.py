@@ -1,10 +1,13 @@
+import operator
 from fractions import Fraction as Fr
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
+from snsq import op_engine
 from snsq.model import (
     Cao,
     CarryKind,
@@ -353,3 +356,67 @@ class TestFiringProperties:
         if firing.common == 0:
             assert firing.remainders == tuple(state[e] for e in firing.operands)
             assert all(t == 0 for t in firing.transformants)
+
+
+# Numerators and denominators from one bit to past 4 000 bits, and the
+# numerators of either sign or zero: the engine's validated domain (positive
+# values, small radices) and what an unvalidated call can pass it (a qminus
+# state below zero, a negative divisor).
+magnitudes = st.one_of(
+    st.integers(0, 1000), st.integers(0, 2**64), st.integers(2**4000, 2**4100)
+)
+signed = st.one_of(magnitudes, magnitudes.map(operator.neg))
+rationals = st.builds(Fr, signed, signed.filter(bool))
+
+# Each int helper beside the stdlib operator whose steps it follows.
+INT_HELPERS = (
+    (op_engine._mul, operator.mul),
+    (op_engine._div, operator.truediv),
+    (op_engine._add, operator.add),
+    (op_engine._sub, operator.sub),
+    (op_engine._floordiv, lambda a, b: Fr(a // b)),
+)
+
+
+def assert_int_helpers_match_the_stdlib(a, b):
+    for helper, stdlib in INT_HELPERS:
+        try:
+            want = stdlib(a, b)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                helper(a, b)
+            continue
+        got = helper(a, b)
+        assert type(got) is Fr, helper
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), helper
+        assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1, helper
+        assert hash(got) == hash(want) and str(got) == str(want), helper
+    for values in ([a, b], [b, a], [a, b, a]):
+        assert op_engine._min(values) is min(values)
+
+
+class TestIntArithmetic:
+    """The operator engine's arithmetic on numerator and denominator ints
+    gives the Fraction the stdlib operator gives: same value, exact type,
+    lowest terms over a positive denominator, same hash and text."""
+
+    def test_fraction_keeps_the_two_slots_the_engine_sets(self):
+        assert Fr.__slots__ == ("_numerator", "_denominator"), (
+            "op_engine._new builds a Fraction by setting these two slots; "
+            "this Python lays Fraction out otherwise, so it would build broken values"
+        )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(rationals, rationals)
+    @example(Fr(0), Fr(-3, 7))  # zero over a negative divisor
+    @example(Fr(5, 6), Fr(0))  # a zero divisor
+    @example(Fr(-7, 2), Fr(7, 2))  # opposite values, summing to zero
+    @example(Fr(2**4001 + 1, 3**2600), Fr(-(3**2600), 2**4000))
+    def test_int_helpers_match_the_stdlib(self, a, b):
+        assert_int_helpers_match_the_stdlib(a, b)
+
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=5000, deadline=None)
+    @given(rationals, rationals)
+    def test_int_helpers_match_the_stdlib_at_depth(self, a, b):
+        assert_int_helpers_match_the_stdlib(a, b)

@@ -34,7 +34,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import drawn_networks
 from corpus import fed_back, random_cao, wide_cao
 from snsq import matrix_engine, op_engine, run
 from snsq.model import (
@@ -313,7 +315,8 @@ def test_left_null_space_of_a_transfer():
 
 
 def dot(y: list[Fraction], s: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(y, s)), Fraction(0))
+    # an invariant's zero weights add nothing, so they are skipped
+    return sum((a * b for a, b in zip(y, s) if a), Fraction(0))
 
 
 def assert_ledgers_balance(cao: Cao, n: int) -> tuple[int, int]:
@@ -341,7 +344,7 @@ def assert_ledgers_balance(cao: Cao, n: int) -> tuple[int, int]:
             moved = [Fraction(0)] * cao.size
             for op, column in columns:
                 carry = before.common_carry[op.operands[0].entity]
-                moved = [x + carry * d for x, d in zip(moved, column)]
+                moved = [x + carry * d if d else x for x, d in zip(moved, column)]
             assert [b - a for a, b in zip(before.state, after.state)] == moved, (cao, backend, before.step)
             for y in invariants:
                 assert dot(y, after.state) == dot(y, before.state), (cao, backend, before.step, y)
@@ -378,6 +381,20 @@ def test_ledgers_and_invariants_sweep():
     for case in range(20):
         wide = wide_cao(rng, with_schedule=rng.random() < 0.7, name=f"wide{case}")
         assert_ledgers_balance(wide, rng.randint(1, 40))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(drawn_networks())
+def test_ledgers_and_invariants_hold_on_drawn_networks(cao):
+    # the draws of test_matrix_engine's differential sweep: up to 64 entities
+    assert_ledgers_balance(cao, 24)
+
+
+@pytest.mark.slow
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn_networks())
+def test_ledgers_and_invariants_hold_on_drawn_networks_at_depth(cao):
+    assert_ledgers_balance(cao, 200)
 
 
 def integer_ring(rng: random.Random, name: str) -> Cao:

@@ -631,25 +631,28 @@ class TestEquivalence:
         # a step of decay leaves c, and whichever of a and b sets the common
         # carry, an exact 0, and an exact 0 takes its first feed itself: only
         # the other of a and b subtracts and adds. 1 000 steps take 1 001 engine steps, the last
-        # telling a rest at the budget from the step limit.
+        # telling a rest at the budget from the step limit. The matrix engine adds and
+        # subtracts with Fraction's operators, the operator engine with its own _add and
+        # _sub on the ints; both are counted, under one name per operation.
         calls = Counter()
 
-        def counting(name):
-            real = getattr(Fr, name)
+        def count(owner, name, key):
+            real = getattr(owner, name)
 
             def counted(a, b):
-                calls[name] += 1
+                calls[key] += 1
                 return real(a, b)
 
-            return counted
+            monkeypatch.setattr(owner, name, counted)
 
-        for name in ("__add__", "__sub__"):
-            monkeypatch.setattr(Fr, name, counting(name))
+        for owner, add, sub in ((Fr, "__add__", "__sub__"), (op_engine, "_add", "_sub")):
+            count(owner, add, "add")
+            count(owner, sub, "sub")
         for backend in BACKENDS:
             calls.clear()
             outcome = drain(iter_run(decay(), 1000, backend))
             assert outcome.final_state[0].denominator.bit_length() > 1500
-            assert calls == {"__add__": 1001, "__sub__": 1001}, backend
+            assert calls == {"add": 1001, "sub": 1001}, backend
         monkeypatch.undo()
         assert check_equivalence(decay(), 1000) == EquivalenceReport(True, 1000)
 
