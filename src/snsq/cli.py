@@ -16,8 +16,9 @@ error, such as an unknown subcommand or a missing or negative step budget;
 as ``snsq matrix FILE | head`` does, with nothing on stderr. Diagnostics and
 violation details go to stderr, results to stdout.
 
-``run`` and ``fixpoint`` keep no trajectory in memory: ``run --trace``
-writes each record to the file as the run makes it.
+``run`` and ``fixpoint`` keep no trajectory in memory: ``fixpoint`` and
+``run`` without ``--trace`` make no record at all (``runner.settle``), and
+``run --trace`` writes each record to the file as the run makes it.
 
 The parser is built once per process, on the first ``main`` call, and every
 later call reuses it, since argparse set-up outweighs the stepping of a small
@@ -88,15 +89,15 @@ def _cmd_validate(args: argparse.Namespace, cao: Cao) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, cao: Cao) -> int:
-    records = runner.iter_run(cao, max_steps=args.steps, backend=args.backend)
     if args.trace:
+        records = runner.iter_run(cao, max_steps=args.steps, backend=args.backend)
         try:
             outcome = runner.write_trace(args.trace, records, cao.entity_names(), args.format)
         except OSError as err:
             print(f"snsq: cannot write {args.trace}: {err.strerror}", file=sys.stderr)
             return 1
     else:
-        outcome = runner.drain(records)
+        outcome = runner.settle(cao, max_steps=args.steps, backend=args.backend)
     violated = outcome.reason is runner.StopReason.QMINUS_VIOLATION
     if violated:
         entity, value = outcome.violation
@@ -110,7 +111,7 @@ def _cmd_run(args: argparse.Namespace, cao: Cao) -> int:
 
 
 def _cmd_fixpoint(args: argparse.Namespace, cao: Cao) -> int:
-    outcome = runner.drain(runner.iter_run(cao, max_steps=args.max_steps, backend=args.backend))
+    outcome = runner.settle(cao, max_steps=args.max_steps, backend=args.backend)
     print(f"{outcome.reason.value} after {outcome.steps} steps")
     if outcome.reason is runner.StopReason.QMINUS_VIOLATION:
         entity, value = outcome.violation

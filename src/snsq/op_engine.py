@@ -9,6 +9,9 @@ later operator's if two drain it (which the validator rejects). Firings all
 read the start-of-step state: a drained and fed entity gets remainder + feed,
 and an exact-0 remainder takes its first feed itself, with no addition.
 
+``step`` and ``next_state``, the record-free step, fire each operator
+through one routine, ``_fire``, which builds a ``Firing`` only for ``step``.
+
 The arithmetic runs on each ``Fraction``'s numerator and denominator ints,
 with the gcd steps of the stdlib's own operators (Knuth, TAOCP vol. 2,
 §4.5.1: cross-gcds for × and ÷, one gcd of the denominators for ±), so every
@@ -33,6 +36,8 @@ from snsq.model import (
 )
 
 _ZERO = Fraction(0)
+
+State = tuple[Fraction, ...]
 
 
 def _new(n: int, d: int) -> Fraction:
@@ -125,36 +130,61 @@ class Firing:
     transformants: tuple[Fraction, ...]
 
 
-def fire_operator(state: tuple[Fraction, ...], op: Operator, index: int) -> Firing:
-    """Evaluate one operator against a state snapshot without applying it."""
-    if op.kind is CarryKind.INTEGER_FLOOR:
-        partials = [_floordiv(state[o.entity], o.radix) for o in op.operands]
-        common = _min(partials)
-        remainders = [_sub(state[o.entity], _mul(common, o.radix)) for o in op.operands]
-    else:
-        partials = [_div(state[o.entity], o.radix) for o in op.operands]
-        common = _min(partials)
-        remainders = [
-            _ZERO if p is common else _sub(state[o.entity], _mul(common, o.radix))
-            for o, p in zip(op.operands, partials)
-        ]
+def _fire(state: State, op: Operator, new: list, feeds: list, index: int | None = None) -> Firing | None:
+    """Fire ``op`` on the start-of-step ``state``: write each remainder into
+    ``new`` and queue each (image, transformant) feed on ``feeds``; build the
+    Firing only when given the operator's ``index``. A remainder is taken from
+    ``state``, never read back from ``new``, so a repeated operand gets one per slot."""
+    exact = op.kind is CarryKind.RATIONAL_EXACT
+    divide = _div if exact else _floordiv
+    partials = [divide(state[o.entity], o.radix) for o in op.operands]
+    common = _min(partials)
+    remainders, transformants = (None, None) if index is None else ([], [])
+    for o, p in zip(op.operands, partials):
+        remainder = _ZERO if exact and p is common else _sub(state[o.entity], _mul(common, o.radix))
+        new[o.entity] = remainder
+        if remainders is not None:
+            remainders.append(remainder)
+    for image in op.images:
+        transformant = _mul(image.coefficient, common)
+        feeds.append((image.entity, transformant))
+        if transformants is not None:
+            transformants.append(transformant)
+    if index is None:
+        return None
     return Firing(
-        operator=index,
-        operands=op.operand_entities(),
-        partial_carries=tuple(partials),
-        common=common,
-        remainders=tuple(remainders),
-        images=op.image_entities(),
-        transformants=tuple([_mul(image.coefficient, common) for image in op.images]),
+        index, op.operand_entities(), tuple(partials), common,
+        tuple(remainders), op.image_entities(), tuple(transformants),
     )
 
 
+def fire_operator(state: State, op: Operator, index: int) -> Firing:
+    """Evaluate one operator against a state snapshot without applying it."""
+    return _fire(state, op, list(state), [], index)
+
+
+def _sweep(state: State, cao: Cao, k: int, ops: tuple[Operator, ...] | None, firings: list | None) -> State:
+    """The state after step ``k``, appending each firing to ``firings`` unless it is None."""
+    ops = apply_schedule(cao, k) if ops is None else ops
+    new = list(state)
+    feeds: list[tuple[int, Fraction]] = []
+    for i, op in enumerate(ops):
+        if op.enabled:
+            firing = _fire(state, op, new, feeds, None if firings is None else i)
+            if firings is not None:
+                firings.append(firing)
+    for e, transformant in feeds:
+        new[e] = transformant if new[e] is _ZERO else _add(new[e], transformant)
+    if cao.mode is Mode.Q_MINUS:
+        for e, value in enumerate(new):
+            if value._numerator < 0:
+                raise NegativeCardinalError(cao.entities[e].name, value, k)
+    return tuple(new)
+
+
 def step(
-    state: tuple[Fraction, ...],
-    cao: Cao,
-    k: int = 0,
-    operators: tuple[Operator, ...] | None = None,
-) -> tuple[tuple[Fraction, ...], tuple[Firing, ...]]:
+    state: State, cao: Cao, k: int = 0, operators: tuple[Operator, ...] | None = None
+) -> tuple[State, tuple[Firing, ...]]:
     """One synchronous step at index ``k``; returns the new state and all firings.
 
     ``operators`` are the effective operators at ``k`` when the caller has
@@ -163,20 +193,13 @@ def step(
     In Q_MINUS mode the post-state is checked component-wise; the first
     entity that would drop below zero raises NegativeCardinalError.
     """
-    ops = apply_schedule(cao, k) if operators is None else operators
-    firings = tuple([fire_operator(state, op, i) for i, op in enumerate(ops) if op.enabled])
-    new = list(state)
-    for f in firings:
-        for e, remainder in zip(f.operands, f.remainders):
-            new[e] = remainder
-    for f in firings:
-        for e, transformant in zip(f.images, f.transformants):
-            new[e] = transformant if new[e] is _ZERO else _add(new[e], transformant)
-    if cao.mode is Mode.Q_MINUS:
-        for e, value in enumerate(new):
-            if value._numerator < 0:
-                raise NegativeCardinalError(cao.entities[e].name, value, k)
-    return tuple(new), firings
+    firings: list[Firing] = []
+    return _sweep(state, cao, k, operators, firings), tuple(firings)
+
+
+def next_state(state: State, cao: Cao, k: int = 0, operators: tuple[Operator, ...] | None = None) -> State:
+    """``step``'s new state alone, raising as ``step`` does; no firing is built."""
+    return _sweep(state, cao, k, operators, None)
 
 
 def common_carry_vector(

@@ -1,7 +1,7 @@
 """Trajectory driver: iterate steps until the state settles, repeats, or runs out.
 
 Stop conditions, in precedence order when several hold at once; they are
-one rule, ``_stop_rule``, which ``iter_run`` and ``check_equivalence`` share:
+one rule, ``_stop_rule``, which the runs and ``check_equivalence`` share:
 
 * ``QMINUS_VIOLATION`` — the candidate step would push some cardinal below
   zero (only reachable in qminus mode);
@@ -26,11 +26,12 @@ one rule, ``_stop_rule``, which ``iter_run`` and ``check_equivalence`` share:
 executed step carrying the pre-step state, the per-entity common-carry
 vector, and (operator backend only) the firings, plus a final state-only
 record — ``steps + 1`` records in all — and returns the ``RunOutcome``.
-``run`` collects it into a ``RunResult``; the CLI streams it instead,
-keeping no records (``drain``) or writing each to the trace file as it is
-made (``write_trace``): at most one step's record is alive while the next
-step is taken, and only the cycle set grows with the run, one digest per
-visited state, until a run that cannot cycle drops it at step 32. The
+``run`` collects it into a ``RunResult``; ``run --trace`` writes each record
+to the trace file as it is made (``write_trace``): at most one step's record
+is alive while the next step is taken. ``settle`` (``fixpoint``, untraced
+``run``) and the cycle replay make no record, nor on the operator backend
+any firing or carry vector. Only the cycle set grows with a run, one digest
+per visited state, until a run that cannot cycle drops it at step 32. The
 trace renderer keeps the decimal texts of recent ints in an LRU of 8 texts
 per entity, so an int is converted once while it recurs.
 
@@ -38,9 +39,10 @@ per entity, so an int is converted once while it recurs.
 lockstep and reports the first step, entity, and values where they disagree;
 on a valid network they never should. It stops where ``run`` stops, a
 confirmed repeat included, but never takes step N of an N-step budget. It,
-``iter_run`` and the cycle replay each consume ``_trajectory``, the one code
-that steps a backend: through each ``model.schedule_segments`` segment,
-building the matrix operators once per segment.
+``iter_run``, ``settle`` and the cycle replay each consume ``_trajectory``,
+the one code that steps a backend: through each ``model.schedule_segments``
+segment, building the matrix operators once per segment. ``check`` compares
+``op_engine.step``, the engine that builds firings, with the matrix engine.
 """
 
 from __future__ import annotations
@@ -59,10 +61,8 @@ from fractions import Fraction
 
 from snsq import matrix_engine, op_engine
 from snsq.model import Cao, NegativeCardinalError, Operator, schedule_segments, validate_cao
-from snsq.op_engine import Firing
+from snsq.op_engine import Firing, State
 from snsq.rationals import _decimal
-
-State = tuple[Fraction, ...]
 
 BACKENDS = ("operator", "matrix")
 TRACE_FORMATS = ("jsonl", "csv")
@@ -101,15 +101,19 @@ class RunResult:
     records: tuple[StepRecord, ...]
 
 
-def _trajectory(cao: Cao, backend: str, segments: Iterable[tuple]) -> Iterator[tuple]:
+def _trajectory(cao: Cao, backend: str, segments: Iterable[tuple], record: bool = True) -> Iterator[tuple]:
     """Step ``backend`` through ``segments``, the network's ``schedule_segments``,
-    yielding ``(k, state, nxt, commons, firings, None)`` per step k; only the
-    operator backend fires. A step that would drive an entity negative ends the
+    yielding ``(k, state, nxt, commons, firings, None)`` per step k. Only the
+    operator backend fires, and without ``record`` it yields None commons and
+    no firings. A step that would drive an entity negative ends the
     trajectory with ``(k, state, None, None, (), (entity, value))``."""
-    if backend == "operator":
+    if backend == "operator" and record:
         def take(ops: tuple[Operator, ...], state: State, k: int) -> tuple:
             nxt, firings = op_engine.step(state, cao, k, ops)
             return nxt, op_engine.common_carry_vector(firings, cao.size), firings
+    elif backend == "operator":
+        def take(ops: tuple[Operator, ...], state: State, k: int) -> tuple:
+            return op_engine.next_state(state, cao, k, ops), None, ()
     else:
         def take(ops: matrix_engine.StateOperators, state: State, k: int) -> tuple:
             return *matrix_engine.step_general(state, ops, cao.mode, k), ()
@@ -135,7 +139,7 @@ def _first_visit(cao: Cao, backend: str, state: State, k: int, last: int) -> int
     None: the run replayed from the initial state on ``backend``, emitting nothing."""
     if last == 0 and cao.initial_state() == state:
         return 0
-    replay = itertools.islice(_trajectory(cao, backend, schedule_segments(cao)), k - 1)
+    replay = itertools.islice(_trajectory(cao, backend, schedule_segments(cao), record=False), k - 1)
     return next((j + 1 for j, _, replayed, _, _, _ in replay if j + 1 >= last and replayed == state), None)
 
 
@@ -210,6 +214,16 @@ def _stop_rule(cao: Cao, backend: str, max_steps: int) -> Callable[..., RunOutco
     return stop
 
 
+def _budget(max_steps: int, backend: str) -> int:
+    """``max_steps`` as an int, once it and ``backend`` are known to be valid."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    max_steps = operator.index(max_steps)
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    return max_steps
+
+
 def iter_run(
     cao: Cao, max_steps: int = 1000, backend: str = "operator"
 ) -> Generator[StepRecord, None, RunOutcome]:
@@ -228,13 +242,7 @@ def iter_run(
     ``max_steps`` must be an int. Bad arguments raise when the generator is
     first advanced.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    max_steps = operator.index(max_steps)
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-
-    stop = _stop_rule(cao, backend, max_steps)
+    stop = _stop_rule(cao, backend, _budget(max_steps, backend))
     for k, state, nxt, commons, firings, violation in _trajectory(cao, backend, schedule_segments(cao)):
         outcome = stop(k, state, nxt, violation)
         if outcome is None or outcome.reason is StopReason.CYCLE_DETECTED:  # step k was taken
@@ -243,6 +251,18 @@ def iter_run(
         if outcome is not None:
             yield StepRecord(outcome.steps, outcome.final_state)
             return outcome
+
+
+def settle(cao: Cao, max_steps: int = 1000, backend: str = "operator") -> RunOutcome:
+    """``iter_run``'s outcome, with no record made; the operator backend steps
+    by ``op_engine.next_state``, with no firing or carry vector. Bad arguments
+    raise as ``iter_run``'s do."""
+    stop = _stop_rule(cao, backend, _budget(max_steps, backend))
+    for k, state, nxt, _, _, violation in _trajectory(cao, backend, schedule_segments(cao), record=False):
+        outcome = stop(k, state, nxt, violation)
+        if outcome is not None:
+            return outcome
+        del state  # so no earlier state is alive while the next step is taken
 
 
 def drain(

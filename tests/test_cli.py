@@ -6,13 +6,14 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import SAMPLES
 from corpus import PAST_THE_LIMIT_TEXT, decay_text, random_cao, ring_text, wide_cao
-from snsq import cli, runner
+from snsq import cli, op_engine, runner
 from snsq.cli import build_parser, main
 from snsq.dsl import parse, serialize
 from snsq.matrix_engine import build_operators
@@ -191,6 +192,77 @@ class TestStreamedTrace:
         assert trace.read_bytes() == runner.render_trace(
             result.records, cao.entity_names(), fmt
         ).encode("utf-8")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts, from here on, of the Firings, StepRecords and common-carry
+    vectors made, and of the calls of each operator-engine step."""
+    counts = Counter()
+    for owner, name in (
+        (op_engine, "Firing"),
+        (runner, "StepRecord"),
+        (op_engine, "common_carry_vector"),
+        (op_engine, "step"),
+        (op_engine, "next_state"),
+    ):
+        def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+RECORDS = ("Firing", "StepRecord", "common_carry_vector")
+
+
+class TestRecordFree:
+    """``fixpoint`` and ``run`` without ``--trace`` build no firing, record or
+    common-carry vector; ``run --trace`` builds them all."""
+
+    @pytest.mark.parametrize("backend", runner.BACKENDS)
+    @pytest.mark.parametrize("verb", [["fixpoint"], ["run", "--steps", "50"]], ids=["fixpoint", "run"])
+    def test_fixpoint_and_untraced_run_build_no_record(self, built, capsys, tmp_path, verb, backend):
+        tail = tmp_path / "tail.sns"
+        tail.write_text(TAIL, encoding="utf-8")
+        for path in [*sorted(SAMPLES.glob("*.sns")), tail]:
+            assert main([verb[0], str(path), *verb[1:], "--backend", backend]) == 0
+        assert [built[name] for name in RECORDS] == [0, 0, 0]
+        assert built["step"] == 0
+        # allforms7 and drip rest after 3 steps, ring repeats after 3,
+        # signed_inflow rests after 1, tail repeats after 3 and replays 1
+        assert built["next_state"] == (0 if backend == "matrix" else 4 + 4 + 3 + 2 + 4)
+
+    def test_a_cycle_and_its_replay_build_none(self, built, capsys, tmp_path):
+        # the ring is back at its initial state, which needs no replay; the
+        # tail's repeat is replayed up to its first visit, at step 1
+        tail = tmp_path / "tail.sns"
+        tail.write_text(TAIL, encoding="utf-8")
+        assert main(["fixpoint", str(SAMPLES / "ring.sns")]) == 0
+        assert built["next_state"] == 3
+        assert main(["fixpoint", str(tail)]) == 0
+        assert built["next_state"] == 3 + 3 + 1
+        assert capsys.readouterr().out == "cycle_detected after 3 steps\n" * 2
+        assert [built[name] for name in RECORDS] == [0, 0, 0]
+
+    @pytest.mark.parametrize("fmt", runner.TRACE_FORMATS)
+    def test_a_traced_run_builds_one_firing_per_enabled_operator_per_step(self, built, capsys, tmp_path, fmt):
+        trace = tmp_path / "t.trace"
+        for path in sorted(SAMPLES.glob("*.sns")):
+            cao = parse(path.read_text(encoding="utf-8")).cao
+            outcome = runner.settle(cao, 50)
+            records = outcome.steps + 1
+            built.clear()
+            assert main(["run", str(path), "--steps", "50", "--trace", str(trace), "--format", fmt]) == 0
+            # every sample's operators are all enabled; a run that rests also
+            # takes the step that confirms it, which has no record of its own
+            steps = built["step"]
+            assert steps == records - (outcome.reason is runner.StopReason.CYCLE_DETECTED), path
+            assert built["Firing"] == steps * len(cao.operators), path
+            assert built["common_carry_vector"] == steps
+            assert built["StepRecord"] == records
+            assert built["next_state"] == 0
 
 
 def traced_peak(fn) -> int:

@@ -328,6 +328,25 @@ class TestFiringProperties:
             assert remainder == state[operand.entity] - firing.common * operand.radix
             assert type(remainder) is Fr
 
+    @settings(derandomize=True)
+    @given(tied_operator_state())
+    @example(tied(RATIONAL, ((0, 2), (0, 2)), (5, 0, 0)))  # a repeated operand
+    @example(tied(FLOOR, ((1, 3), (1, 3)), (0, 7, 0)))
+    @example(tied(RATIONAL, ((0, 2), (1, 3), (0, 3)), (6, 9, 0)))  # a repeat after another operand
+    def test_the_record_free_step_gives_each_slot_its_own_remainder(self, case):
+        # next_state writes each slot's remainder into the new state as it
+        # fires: a repeated operand ends with its last slot's literal
+        # remainder, computed from the start-of-step cardinal
+        op, state = case
+        cao = Cao("tied", tuple(Entity(e, f"e{e}", v) for e, v in enumerate(state)), (op,))
+        new = op_engine.next_state(state, cao, 0, (op,))
+        assert new == step(state, cao, 0, (op,))[0]
+        firing = fire_operator(state, op, 0)
+        for slot, operand in enumerate(op.operands):
+            if operand.entity not in [o.entity for o in op.operands[slot + 1:]]:
+                assert new[operand.entity] == state[operand.entity] - firing.common * operand.radix
+        assert new[3] == state[3] + firing.common
+
     @given(fused_operator_state())
     def test_common_never_exceeds_partials_and_remainders_stay_legal(self, case):
         op, state = case

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import drawn_networks
 from corpus import fed_back, random_cao, wide_cao
@@ -51,7 +52,7 @@ from snsq.model import (
     schedule_segments,
     validate_cao,
 )
-from snsq.runner import BACKENDS, StopReason
+from snsq.runner import BACKENDS, StopReason, settle
 
 Vector = tuple[Fraction, ...]
 
@@ -126,11 +127,16 @@ def power_apply(a: list[list[Fraction]], n: int, s: Vector) -> Vector:
     return tuple(Fraction(row[0]) for row in out)
 
 
-def assert_linear_trajectory(cao: Cao, n: int) -> None:
-    """``run(cao, n)`` on both backends ends where A^k·s0 says it must."""
+def run_outcome(cao: Cao, n: int, backend: str):
+    return run(cao, n, backend).outcome
+
+
+def assert_linear_trajectory(cao: Cao, n: int, outcome_of=run_outcome) -> None:
+    """``outcome_of(cao, n, backend)``, ``run``'s outcome by default, ends on
+    both backends where A^k·s0 says it must."""
     a, s0 = step_matrix(cao.size, parameters(cao)), cao.initial_state()
     for backend in ("operator", "matrix"):
-        outcome = run(cao, n, backend).outcome
+        outcome = outcome_of(cao, n, backend)
         k = outcome.steps
         assert outcome.final_state == power_apply(a, k, s0), (cao, backend)
         if outcome.reason is StopReason.QMINUS_VIOLATION:
@@ -161,6 +167,20 @@ def test_linear_networks_sweep():
     rng = random.Random(0x5EEB)
     for case in range(600):
         assert_linear_trajectory(linear_cao(rng, 12, f"lin{case}"), rng.randint(1, 100))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_record_free_runs_follow_the_matrix_power(seed, n):
+    # settle is the run of fixpoint and untraced run, which build no record
+    assert_linear_trajectory(linear_cao(random.Random(seed), 7, "lin"), n, settle)
+
+
+@pytest.mark.slow
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+def test_record_free_runs_follow_the_matrix_power_over_more_draws(seed, n):
+    assert_linear_trajectory(linear_cao(random.Random(seed), 12, "lin"), n, settle)
 
 
 def scheduled_linear_cao(rng: random.Random, max_entities: int, name: str) -> Cao:

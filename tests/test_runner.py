@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SAMPLES, REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow
+from conftest import SAMPLES, REF7_CARRIES, REF7_STATES, build_ref7, build_signed_inflow, drawn_networks
 from corpus import PAST_THE_LIMIT_TEXT, decay_text, fed_back, random_cao, wide_cao, wide_override
 from snsq import matrix_engine, model, op_engine, runner
 from snsq.dsl import parse
@@ -43,6 +43,7 @@ from snsq.runner import (
     iter_run,
     render_trace,
     run,
+    settle,
     write_trace,
 )
 
@@ -146,18 +147,17 @@ class TestRun:
         assert [r.state for r in result.records] == [(2, 0, 1), (1, 2, 0), (2, 1, 0), (1, 2, 0)]
 
     def test_a_cycle_replays_up_to_its_first_visit(self, monkeypatch):
-        # three steps of the run, then one of the replay: it stops at step 1
-        calls = 0
-        real_step = op_engine.step
+        # three steps of the run, then one of the replay, which builds no
+        # firing: it stops at step 1
+        calls = dict.fromkeys(("step", "next_state"), 0)
+        for name in calls:
+            def counting(*args, real=getattr(op_engine, name), name=name):
+                calls[name] += 1
+                return real(*args)
 
-        def counting_step(*args):
-            nonlocal calls
-            calls += 1
-            return real_step(*args)
-
-        monkeypatch.setattr(op_engine, "step", counting_step)
+            monkeypatch.setattr(op_engine, name, counting)
         assert run(transient_loop(), max_steps=50).outcome.revisit_of == 1
-        assert calls == 4
+        assert calls == {"step": 3, "next_state": 1}
 
     def test_period_one_repeat_is_a_fixed_point_not_a_cycle(self):
         # (1,1) swaps into itself; one extra step changes nothing, so the
@@ -575,6 +575,97 @@ def never_repeats_and_matches_the_dict_rule(seed, shape, gain):
 
 SHAPES = st.sampled_from(("random", "fed back", "wide"))
 GAINS = st.sampled_from((None, True, False))
+
+
+@st.composite
+def record_free_networks(draw):
+    """A ``drawn_networks`` draw, or a seeded ``cycling_cao`` ring, scheduled
+    ``random_cao`` network or qminus ``random_cao`` network."""
+    shape = draw(st.sampled_from(("drawn", "cycling", "scheduled", "qminus")))
+    if shape == "drawn":
+        return draw(drawn_networks())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "cycling":
+        return cycling_cao(rng, max_ring=8, max_tail=8)
+    if shape == "scheduled":
+        return random_cao(rng, max_entities=12, with_schedule=True)
+    return random_cao(rng, max_entities=12, mode=Mode.Q_MINUS)
+
+
+# Fixed cases beside the draws: one network per stop reason, the samples and
+# item 1's scheduled swaps, whose repeats count only from their last override.
+RECORD_FREE_EXAMPLES = [
+    *STOPPING.values(),
+    transient_loop(),
+    SWAP,
+    RESWAP,
+    LATE,
+    *[parse(p.read_text(encoding="utf-8")).cao for p in sorted(SAMPLES.glob("*.sns"))],
+]
+
+
+def assert_next_state_is_steps(cao, steps):
+    """``op_engine.next_state`` returns ``op_engine.step``'s new state at each
+    of the first ``steps`` steps, with the segment's operators and without
+    them, and raises the same NegativeCardinalError where ``step`` raises."""
+    state = cao.initial_state()
+    for start, stop, ops in model.schedule_segments(cao):
+        for k in range(start, steps if stop is None else min(stop, steps)):
+            try:
+                want, _ = op_engine.step(state, cao, k, ops)
+            except NegativeCardinalError as err:
+                for args in ((state, cao, k, ops), (state, cao, k)):
+                    with pytest.raises(NegativeCardinalError) as got:
+                        op_engine.next_state(*args)
+                    assert (got.value.entity, got.value.value, got.value.step) == (err.entity, err.value, err.step)
+                return
+            assert op_engine.next_state(state, cao, k, ops) == want
+            assert op_engine.next_state(state, cao, k) == want
+            state = want
+
+
+class TestSettle:
+    """``settle``, the record-free run of ``fixpoint`` and untraced ``run``,
+    against the runs that build every record."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(record_free_networks(), st.sampled_from(BACKENDS), st.integers(0, 30))
+    def test_is_the_drained_run(self, cao, backend, steps):
+        assert settle(cao, steps, backend) == drain(iter_run(cao, steps, backend))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_is_the_drained_run_on_fixed_cases(self, backend):
+        cases = RECORD_FREE_EXAMPLES + cycling_networks(40, 0x5E77)
+        for cao in cases:
+            for steps in (0, 1, 5, 60):
+                assert settle(cao, steps, backend) == drain(iter_run(cao, steps, backend)), (cao, steps)
+
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(record_free_networks(), st.sampled_from(BACKENDS), st.integers(0, 200))
+    def test_is_the_drained_run_over_more_draws(self, cao, backend, steps):
+        assert settle(cao, steps, backend) == drain(iter_run(cao, steps, backend))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(record_free_networks())
+    def test_the_record_free_step_is_steps_new_state(self, cao):
+        assert_next_state_is_steps(cao, 24)
+
+    def test_the_record_free_step_on_fixed_cases(self):
+        for cao in RECORD_FREE_EXAMPLES:
+            assert_next_state_is_steps(cao, 12)
+
+    def test_bad_arguments_raise_as_iter_run_does(self):
+        for args, error in (
+            ((build_ref7(), 5, "quantum"), ValueError),
+            ((build_ref7(), -1), ValueError),
+            ((grow(), 2.5), TypeError),
+        ):
+            with pytest.raises(error) as want:
+                next(iter_run(*args))
+            with pytest.raises(error) as got:
+                settle(*args)
+            assert str(got.value) == str(want.value)
 
 
 class TestCannotCycle:
