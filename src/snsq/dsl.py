@@ -15,10 +15,26 @@ The ``mode`` and ``kind`` headers are optional (default ``qplus`` and
 ``rational``); a per-operator kind overrides the header. Operator form is
 never written down — it follows from how many operands and images appear.
 
+Two recognizers read a file, and the input alone picks which. The scanner
+(:func:`_scan`) takes one regular-expression match per statement: the
+header, an ``entity``, an ``op``, an ``at`` with its ``{``, each override
+and each closing ``}``. It fills the builder directly, zero-coefficient
+warnings and their spans included. It takes a file only when it reads all of
+it with no error; on anything else it returns None and the token parser
+reads the file from the start. So the token parser is the only source of
+error diagnostics, and the reference the scanner is tested against: on every
+file the scanner takes, both give the same :class:`ParseResult`. The
+scanner's patterns run in linear time on any input: a run of blanks has one
+way to match, comments after the header become blanks of the same length,
+lists are possessive repeats with no capture group inside, and ``\\b`` ends
+every keyword. They are compiled on the first parse, not at import, as
+every cold CLI call would pay for them (~1.6 ms in a fresh CPython 3.11
+process on a Xeon vCPU).
+
 Lexing takes one regular-expression match per token, a line at a time, and
 yields tokens as the LL(1) parser pulls them; only tokens a diagnostic may
 point at are kept. Columns count characters, so a tab is one column; one
-leading byte-order mark (U+FEFF) is dropped before lexing.
+leading byte-order mark (U+FEFF) is dropped before either recognizer runs.
 
 The parser reads syntax only; the builder alone turns each statement's tokens
 into entity indices, values, model objects, token paths and name diagnostics.
@@ -48,6 +64,7 @@ back reproduces the network exactly.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
@@ -259,14 +276,17 @@ class _Builder:
         )
         for name, num in images:
             if num.value == 0:
-                message = f"zero coefficient toward image '{name.text}' has no effect"
-                self.warnings.append(Diagnostic("warning", message, num.span))
-        if self.tokens is not None:  # the first pass records nothing: skip the calls
-            self.record(kw, "operator", o)
-            for side, number, pairs in (("operand", "radix", operands), ("image", "coefficient", images)):
-                for slot, (name, num) in enumerate(pairs):
-                    self.record(name, "operator", o, side, slot)
-                    self.record(num, "operator", o, side, slot, number)
+                self.warn_zero(name.text, num.span)
+        self.record(kw, "operator", o)
+        for side, number, pairs in (("operand", "radix", operands), ("image", "coefficient", images)):
+            for slot, (name, num) in enumerate(pairs):
+                self.record(name, "operator", o, side, slot)
+                self.record(num, "operator", o, side, slot, number)
+
+    def warn_zero(self, image: str, span: Span) -> None:
+        """A zero coefficient toward ``image``, written at ``span``: legal, but it feeds nothing."""
+        message = f"zero coefficient toward image '{image}' has no effect"
+        self.warnings.append(Diagnostic("warning", message, span))
 
     def begin_step(self, num: _Token | None) -> None:
         """``at NUMBER {``: the overrides that follow belong to this step (0 without a number)."""
@@ -283,9 +303,8 @@ class _Builder:
         overrides = self.schedule[self.step]
         at = ("schedule", self.step, len(overrides))
         overrides.append(Override(int(index.value), key.text, e, setting))
-        if self.tokens is not None:
-            for part, tok in (("operator", index), ("entity", entity), ("value", value)):
-                self.record(tok, *at, part)
+        for part, tok in (("operator", index), ("entity", entity), ("value", value)):
+            self.record(tok, *at, part)
 
     def build(self) -> Cao:
         return Cao(self.name, self.entities, self.operators, self.mode, self.schedule)
@@ -521,11 +540,141 @@ def _parse(text: str, b: _Builder) -> _Builder:
     return b
 
 
+_BLANKS = " \t\r\n"
+
+
+@functools.cache
+def _statement_patterns() -> tuple[re.Pattern[str], ...]:
+    """The scanner's patterns: the header, a body statement, a schedule
+    statement and a comment. Compiled on the first parse, not at import.
+
+    Each pattern runs in linear time: a blank run has one way to match
+    (``[ \\t\\r\\n]*+``, and comments are blanked before the body is read),
+    every list is a possessive repeat holding no capture group (CPython 3.11
+    raises SystemError on one that does), and ``\\b`` ends every keyword, so
+    ``entityx`` is not ``entity x``."""
+    b = r"[ \t\r\n]*+"
+    name = r"[A-Za-z_]\w*+"
+    number = r"-?[0-9]++(?:/[0-9]++)?+"
+    pairs = rf"{name}{b}:{b}{number}(?:{b},{b}{name}{b}:{b}{number})*+"
+    header = (
+        r"(?:[ \t\r\n]++|\#[^\n]*+)*+"
+        rf'cao\b{b}"([^"\n]*+)"{b}(?:mode\b{b}(qplus|qminus)\b{b})?(?:kind\b{b}(rational|integer)\b{b})?\{{'
+    )
+    body = (
+        rf"{b}(?:entity\b{b}({name}(?:{b},{b}{name})*+){b}={b}({number}){b};"
+        rf"|op\b{b}(?:(rational|integer)\b{b})?\({b}({pairs}){b}\){b}->{b}\({b}({pairs}){b}\){b};"
+        rf"|at\b{b}([0-9]++){b}\{{|(\}}))"
+    )
+    schedule = (
+        rf"{b}(?:op\b{b}([0-9]++){b}"
+        rf"(?:(radix|coeff)\b{b}({name}){b}={b}({number})|enabled\b{b}={b}(true|false)\b){b};|(\}}))"
+    )
+    return tuple(map(re.compile, (header, body, schedule, r"\#[^\n]*+")))
+
+
+def _scan(text: str) -> _Builder | None:
+    """Read a clean file with one match per statement, or return None.
+
+    The scanner takes only a file it reads whole with no error: every name
+    declared once and known where used, no keyword as a name, names that
+    start with an ASCII letter or '_', literals under the int<->str limit
+    with non-zero denominators, steps and operator indices in plain digits.
+    For anything else the token parser runs, which alone writes error
+    diagnostics. The network, its zero-coefficient warnings and their spans
+    are the ones the token parser builds from the same text."""
+    header, body, schedule, comment = _statement_patterns()
+    m = header.match(text)
+    if m is None:
+        return None
+    b = _Builder(name=m[1])
+    if m[2]:
+        b.mode = Mode(m[2])
+    if m[3]:
+        b.default_kind = CarryKind(m[3])
+    pos = m.end()
+    if text.find("#", pos) >= 0:  # blanks of the same length keep every offset
+        text = text[:pos] + comment.sub(lambda c: " " * len(c[0]), text[pos:])
+    by_name, entities = b.by_name, b.entities
+    try:  # a literal past the int<->str limit or with a zero denominator raises ValueError
+        while (m := body.match(text, pos)) is not None:
+            pos = m.end()
+            names, value, kind, operands, images, step, end = m.groups()
+            if names is not None:  # entity NAME, ... = VALUE;
+                value = parse_rational(value)
+                for name in names.split(","):
+                    name = name.strip(_BLANKS)
+                    if name in KEYWORDS or name in by_name:
+                        return None
+                    by_name[name] = len(entities)
+                    entities.append(Entity(len(entities), name, value))
+            elif operands is not None:  # op [KIND] (NAME: RADIX, ...) -> (NAME: COEFFICIENT, ...);
+                radices, coefficients = _pairs(operands, by_name), _pairs(images, by_name)
+                if radices is None or coefficients is None:
+                    return None
+                b.operators.append(
+                    Operator(
+                        CarryKind(kind) if kind else b.default_kind,
+                        tuple([Operand(e, radix) for e, radix in radices]),
+                        tuple([Image(e, coefficient) for e, coefficient in coefficients]),
+                    )
+                )
+                if any(coefficient == 0 for _, coefficient in coefficients):
+                    _warn_zeros(b, text, m.start(5), images)
+            elif step is not None:  # at STEP { op INDEX ...; ... }
+                overrides = b.schedule.setdefault(int(step), [])
+                while (m := schedule.match(text, pos)) is not None:
+                    pos = m.end()
+                    index, key, name, number, flag, end = m.groups()
+                    if end:
+                        break
+                    if flag:
+                        overrides.append(Override(int(index), "enabled", None, flag == "true"))
+                    elif (e := by_name.get(name)) is not None:
+                        overrides.append(Override(int(index), key, e, parse_rational(number)))
+                    else:
+                        return None
+                else:
+                    return None
+            else:  # the closing '}'
+                return b if not text[pos:].strip(_BLANKS) else None
+    except ValueError:
+        return None
+    return None
+
+
+def _pairs(text: str, by_name: dict[str, int]) -> list[tuple[int, Fraction]] | None:
+    """The (entity, value) pairs of a matched ``NAME: NUMBER, ...`` list, or
+    None if a name is unknown."""
+    pairs = []
+    for pair in text.split(","):
+        name, _, number = pair.partition(":")
+        e = by_name.get(name.strip(_BLANKS))
+        if e is None:
+            return None
+        pairs.append((e, parse_rational(number.strip(_BLANKS))))
+    return pairs
+
+
+def _warn_zeros(b: _Builder, text: str, start: int, images: str) -> None:
+    """The token parser's warning for each zero coefficient in ``images``, the
+    text of an image list that begins at offset ``start`` of ``text``."""
+    for pair in images.split(","):
+        name, _, number = pair.rstrip(_BLANKS).partition(":")
+        number = number.lstrip(_BLANKS)
+        if parse_rational(number) == 0:
+            at = start + len(pair.rstrip(_BLANKS)) - len(number)
+            line_start = text.rfind("\n", 0, at) + 1
+            span = Span(text.count("\n", 0, at) + 1, at - line_start + 1, len(number))
+            b.warn_zero(name.strip(_BLANKS), span)
+        start += len(pair) + 1
+
+
 def parse(text: str) -> ParseResult:
     """Parse a network definition; never raises, whatever the input. One
     leading byte-order mark (U+FEFF) is dropped first."""
     text = text.removeprefix("\ufeff")
-    builder = _parse(text, _Builder())
+    builder = _scan(text) or _parse(text, _Builder())
     diags, cao = builder.diags, None
     if not diags:  # only errors land here before the warnings are merged
         cao = builder.build()

@@ -1,7 +1,10 @@
+import functools
 import random
 import re
 import sys
+import time
 from fractions import Fraction as Fr
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLES, build_ref7, build_signed_inflow
 from corpus import random_cao, wide_cao, wide_override
-from snsq.dsl import KEYWORDS, Diagnostic, Span, _Builder, _parse, _serializable_name, parse, serialize
+from snsq import dsl
+from snsq.dsl import KEYWORDS, Diagnostic, Span, _Builder, _parse, _scan, _serializable_name, parse, serialize
 from snsq.model import (
     Cao,
     CarryKind,
@@ -774,3 +778,156 @@ class TestTotality:
     @given(mutated_networks())
     def test_mutated_networks_sweep(self, text):
         assert_total(parse(text))
+
+
+def token_parse(text):
+    """``parse`` with the scanner switched off, so the token parser reads every text."""
+    with mock.patch.object(dsl, "_scan", lambda text: None):
+        return parse(text)
+
+
+@functools.cache
+def gate_corpus_texts():
+    """The acceptance gate's criterion-4 networks, serialized."""
+    rng = random.Random(0xC40)
+    modes = (Mode.Q_PLUS, Mode.Q_MINUS)
+    return tuple(serialize(random_cao(rng, mode=modes[case % 2], name=f"c{case}")) for case in range(1000))
+
+
+@functools.cache
+def wide_texts():
+    """Serialized ``wide_cao`` draws, half of them scheduled."""
+    rng = random.Random(0x5CA)
+    return tuple(serialize(wide_cao(rng, with_schedule=case % 2 == 1, name=f"w{case}")) for case in range(64))
+
+
+# What the edits insert: blanks, comments, line ends, characters the scanner
+# must refuse, punctuation, digits and keywords.
+SCANNER_PIECES = (
+    " ", "\t", "\n", "\r\n", "# note\n", "#", '"', "\u00e9", "\u00b2", "\ufeff", "\x0c",
+    ";", ",", ":", "=", "{", "}", "(", ")", "->", "-", "/", "0", "7", "1/0", *sorted(KEYWORDS),
+)
+
+# A text's pieces for the delete and swap edits: a blank run, a line end, a
+# comment, an arrow, a word or number, or one other character.
+PIECE_RE = re.compile(r"[ \t]+|\r?\n|#[^\n]*|->|[\w/-]+|\S")
+
+
+@st.composite
+def scanner_texts(draw):
+    """A sample file, a serialized gate-corpus network or a serialized
+    ``wide_cao`` draw, given up to four seeded edits: a piece inserted after
+    another piece or anywhere, a piece deleted, or two pieces swapped."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    corpus = gate_corpus_texts()  # drawn twice as often: a wide text takes ~10 times as long to parse
+    text = rng.choice(rng.choice((SAMPLE_TEXTS, corpus, corpus, wide_texts())))
+    for _ in range(rng.randint(0, 4)):
+        spans = [m.span() for m in PIECE_RE.finditer(text)]
+        edit = rng.choice(("insert", "delete", "swap"))
+        if edit == "insert" or len(spans) < 2:
+            i = rng.choice((0, *(end for _, end in spans))) if rng.random() < 0.5 else rng.randint(0, len(text))
+            text = text[:i] + rng.choice(SCANNER_PIECES) + text[i:]
+        elif edit == "delete":
+            i, j = rng.choice(spans)
+            text = text[:i] + text[j:]
+        else:
+            (i, j), (k, end) = sorted(rng.sample(spans, 2))
+            text = text[:i] + text[k:end] + text[j:k] + text[i:j] + text[end:]
+    return text
+
+
+def assert_scanner_agrees(text):
+    """``parse`` equals the token parser's result, every diagnostic included,
+    and the scanner refuses a text in which the token parser finds an error.
+    Returns whether the scanner took the text."""
+    assert parse(text) == token_parse(text)
+    text = text.removeprefix("\ufeff")
+    taken = _scan(text) is not None
+    assert not (taken and _parse(text, _Builder()).diags)
+    return taken
+
+
+class TestScanner:
+    """The one-match-per-statement scanner against the token parser, its reference."""
+
+    def test_it_takes_every_gate_corpus_network(self):
+        for text in gate_corpus_texts():
+            assert assert_scanner_agrees(text), text
+
+    def test_it_takes_the_samples_and_every_serialize_output(self):
+        rng = random.Random(0x5CA)
+        texts = [*SAMPLE_TEXTS, GOLDEN_TEXT, serialize(build_ref7())]
+        texts += [serialize(parse(text).cao) for text in SAMPLE_TEXTS]
+        texts += wide_texts()
+        texts += [serialize(random_cao(rng, mode=mode, with_schedule=True)) for mode in Mode for _ in range(20)]
+        for text in texts:
+            assert assert_scanner_agrees(text), text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('cao "t" {\n  entity a, b = 1;\n  op (a:2) -> (b:0, c:0/3);\n}\n', id="unknown-name"),
+            pytest.param('cao "t" { entity a = 1; entity a = 2; }', id="duplicate-name"),
+            pytest.param('cao "t" { entity mode = 1; }', id="keyword-name"),
+            pytest.param('cao "t" { entity \u00e9 = 1; }', id="non-ascii-start"),
+            pytest.param('cao "t" { entity a = 1/0; }', id="zero-denominator"),
+            pytest.param('cao "t" { entity a = ' + "7" * 5000 + "; }", id="over-the-int-str-limit"),
+            pytest.param('cao "t" { at ' + "7" * 5000 + " { } }", id="step-over-the-int-str-limit"),
+            pytest.param('cao "t" { entity a = 1; at 1/2 { } }', id="fractional-step"),
+            pytest.param('cao "t" { entity a = 1; at -1 { } }', id="negative-step"),
+            pytest.param('cao "t" { entity a, b = 1; op (a:2) -> (b:1); at 1 { op -0 enabled = true; } }', id="signed-index"),
+            pytest.param('cao "t" { entityx a = 1; }', id="keyword-run-on"),
+            pytest.param('cao "t" { entity a, b = 1; op (a:2) -> (b:1); at 1 { op 0 radixa = 3; } }', id="field-run-on"),
+            pytest.param('cao "t" mode qpluskind integer { }', id="mode-run-on"),
+            pytest.param('cao "t" {\x0c entity a = 1; }', id="form-feed"),
+            pytest.param('cao "t" { entity a =\u00a01; }', id="no-break-space"),
+            pytest.param('cao "t" # the header\n{ entity a = 1; }', id="comment-in-header"),
+            pytest.param('cao "t" { entity a = 1; } }', id="text-after-the-closing-brace"),
+            pytest.param('cao "t" { entity a = 1; "x # y" }', id="string-before-a-comment"),
+        ],
+    )
+    def test_it_refuses_what_it_does_not_read_whole(self, text):
+        assert _scan(text) is None
+        assert_scanner_agrees(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('cao "t" {\n  entity a, b = 1;\n  op (a:2) -> (b:0, a:0/3);\n}\n', id="zero-coefficients"),
+            pytest.param('cao "t" {\r\n\tentity a = 4;#x\r\n\tentity b = 0;\n op (a:2) -> ( b :\t0 );}', id="blanks-and-comments"),
+            pytest.param('cao "t" { entity a, b = 1; op (a:0) -> (b:-2); at 3 { op 9 radix b = 0; } }', id="violations"),
+            pytest.param('cao "t" { entity a, b = 1; op (a:2) -> (b:1); at 1 { op 0radix a = 3; op 0enabled = false; } }', id="index-then-keyword"),
+            pytest.param('cao "t" { entity a, b = 1; op (a:2) -> (b:1); at 1 { } at 1 { op 0 coeff b = 0; } }', id="repeated-step"),
+            pytest.param('\ufeff# a\n#b\ncao"t"mode qminus kind integer{entity a,b=1;op rational(a:2)->(b:-1);}# end', id="tight"),
+        ],
+    )
+    def test_it_takes_clean_files_with_their_warnings_and_violations(self, text):
+        assert assert_scanner_agrees(text)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(scanner_texts())
+    def test_it_matches_the_token_parser_on_edited_files(self, text):
+        assert_scanner_agrees(text)
+
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=20_000, deadline=None)
+    @given(scanner_texts())
+    def test_scanner_matches_the_token_parser_at_depth(self, text):
+        assert_scanner_agrees(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(" \t\r\n" * 25_000 + "garbage $", id="blanks-then-garbage"),
+            pytest.param("# note # more\n" * 20_000, id="comment-lines"),
+            pytest.param('cao "t" {\n' + "# note # more\n" * 20_000, id="comment-lines-without-brace"),
+            pytest.param('cao "t" { entity ' + ", ".join(f"e{i}" for i in range(20_000)), id="unterminated-entity-list"),
+            pytest.param('cao "t" { entity a = 1; op (' + ", ".join(["a:1"] * 20_000), id="unterminated-operand-list"),
+            pytest.param('cao "t" { entity a = 1; op (a:2) -> (' + ", ".join(["a:1"] * 20_000), id="unterminated-image-list"),
+        ],
+    )
+    def test_long_inputs_parse_in_linear_time(self, text):
+        start = time.perf_counter()
+        result = parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert result.errors and _scan(text) is None
